@@ -123,14 +123,12 @@ def _cmd_factor(args) -> int:
         if ntheory.is_prime(N):
             print(f"{N} is prime")
             return 0
-        found = harness._pipeline_without_oracle(N, FactorCaps())
-        ms = (time.perf_counter() - t0) * 1000.0
-        if found is None:
+        record = harness._enumerate_residues(N, FactorCaps())
+        if record is None:
             print("pipeline exhausted")
             return 2
-        hit, method = found
-        print(f"{N} = {hit} * {N // hit}")
-        print(_record_for_split(N, hit, method, 0, ms).to_json())
+        print(f"{N} = {record.p} * {record.q}")
+        print(record.to_json())
         return 0
     # auto
     result = harness.factor_auto(N, FactorCaps(fermat_cap=args.cap))

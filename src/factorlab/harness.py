@@ -1,6 +1,11 @@
 """Semiprime generators, the partial-residue factoring pipeline, the general
 auto-factor driver, and batch experiment runners.
 
+One residue stage (companion residue -> bilinear polynomial -> lattice small
+roots -> x-sweep fallback) serves both run_pipeline, which feeds it the
+oracle residue of a known factor, and factor_auto, which feeds it every
+candidate residue of a few moduli.
+
 All randomness is seeded and splittable (splitmix64 over the user seed), so
 every run is bit-for-bit reproducible except for elapsed_ms fields.
 """
@@ -16,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 
 from . import fermat, lattice, ntheory, polybuild
-from .polybuild import BilinearPoly, FactorCenter, PartialResidue, RootBounds
+from .polybuild import FactorCenter, PartialResidue, RootBounds
 
 
 class GenerationExhausted(RuntimeError):
@@ -132,7 +137,9 @@ def gen_semiprime(spec: SemiprimeSpec) -> tuple[int, int, int]:
             half = spec.bits // 2
             p = ntheory.next_prime(rng.randrange(1 << (half - 1), 1 << half))
         else:
-            third = max(spec.bits // 3, 4)
+            # (bits + 1) // 3: for bits = 2 (mod 3), p < 2**(bits // 3) would
+            # force p**3 < N/2
+            third = max((spec.bits + 1) // 3, 4)
             p = ntheory.next_prime(rng.randrange(1 << (third - 1), 1 << third))
         lo_q = max(p + 1, -(-lo_n // p))
         hi_q = hi_n // p
@@ -161,95 +168,86 @@ def gen_semiprime(spec: SemiprimeSpec) -> tuple[int, int, int]:
     raise GenerationExhausted(f"no {spec.balance.value} semiprime after cap: {spec}")
 
 
-def _oracle_stage(N: int, p_hint: int) -> tuple[int, int]:
-    """The only stage allowed to see p_hint: returns (B, x0) and nothing else."""
-    modulus, x0 = ntheory.select_modulus(N, p_hint)
-    return modulus.value, x0
+def _record(
+    N: int, p: int, t0: float, method: Method, steps: int,
+    B: int = 0, x0: int = 0, y0: int = 0, margin: float = 0.0,
+) -> TrialRecord:
+    p, q = sorted((p, N // p))
+    return TrialRecord(
+        N=N, p=p, q=q, B=B, x0=x0, y0=y0, method=method, steps=steps,
+        margin_bits=margin, success=True,
+        elapsed_ms=(time.perf_counter() - t0) * 1000.0,
+    )
 
 
-def _x_sweep(
-    N: int, center: FactorCenter, pr: PartialResidue, limit: int
-) -> tuple[int, int] | None:
-    """Divisibility sweep over x = 0, +1, -1, ... up to |x| <= limit.
+def _solve_residue(
+    N: int, center: FactorCenter, bounds: RootBounds, pr: PartialResidue,
+    sweep_limit: int, t0: float,
+) -> TrialRecord | None:
+    """The residue stage: companion residue y0 -> bilinear f -> lattice small
+    roots -> factor recovery, then an x-sweep over x = 0, +1, -1, ... up to
+    |x| <= sweep_limit when no lattice root recovers a factor.
 
-    Returns (factor, steps) or None."""
-    steps = 0
-    for k in range(limit + 1):
-        for x in (k, -k) if k else (0,):
-            steps += 1
+    steps counts the lattice roots tried (COPPERSMITH) or the sweep points
+    tried (X_SWEEP) up to and including the hit.  Returns None when neither
+    finds a factor.
+    """
+    y0 = polybuild.solve_companion_residue(N, center, pr)
+    f = polybuild.build_polynomial(N, center, pr, y0)
+    margin = polybuild.bound_margin(f, bounds)
+    try:
+        roots = lattice.coppersmith_bivariate(f, bounds, recenter_depth=0).roots
+    except lattice.LatticeFailure:
+        roots = []
+    lattice_xs = [x for x, _y in roots]
+    sweep_xs = (x for k in range(sweep_limit + 1) for x in ((k, -k) if k else (0,)))
+    for method, xs in ((Method.COPPERSMITH, lattice_xs), (Method.X_SWEEP, sweep_xs)):
+        for steps, x in enumerate(xs, start=1):
             hit = polybuild.recover_factor(N, center, pr, x)
             if hit is not None:
-                return hit, steps
+                return _record(N, hit, t0, method, steps, pr.modulus, pr.x0, y0, margin)
     return None
 
 
-def run_pipeline(
-    N: int, p_hint: int, *, lattice_depth: int = 0
-) -> TrialRecord:
+def run_pipeline(N: int, p_hint: int) -> TrialRecord:
     """Factor N using only the residue oracle derived from p_hint.
 
     Stages: modulus selection -> residue oracle (p_hint is discarded) ->
-    companion-residue congruence -> bilinear polynomial -> bound margin ->
-    lattice small roots -> factor recovery; on lattice failure falls back to
-    an x-sweep, which always terminates on balanced instances.
+    the residue stage (companion residue, bilinear polynomial, bound margin,
+    lattice small roots, factor recovery, and an x-sweep fallback over the
+    whole balanced box, which always terminates on balanced instances).
     """
     t0 = time.perf_counter()
     if N < 4 or p_hint <= 1 or N % p_hint != 0:
         raise ValueError("need N >= 4 and p_hint a nontrivial divisor")
     center = FactorCenter.balanced(N)
-    bounds = RootBounds.balanced(N)
-
-    def finish(p: int, method: Method, steps: int, B: int, x0: int, y0: int,
-               margin: float) -> TrialRecord:
-        q = N // p
-        p, q = min(p, q), max(p, q)
-        return TrialRecord(
-            N=N, p=p, q=q, B=B, x0=x0, y0=y0, method=method, steps=steps,
-            margin_bits=margin, success=True,
-            elapsed_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-
     # degenerate center: isqrt(N) itself divides N (covers p = q and the
     # residue-free case where every modulus would give x0 = 0)
-    if N % center.P0 == 0 and center.P0 > 1:
-        return finish(center.P0, Method.X_SWEEP, 1, 0, 0, 0, 0.0)
-
-    B, x0 = _oracle_stage(N, p_hint)
+    if N % center.P0 == 0:
+        return _record(N, center.P0, t0, Method.X_SWEEP, 1)
+    modulus, x0 = ntheory.select_modulus(N, p_hint)
     del p_hint  # the remaining stages operate on (N, B, x0) only
-    pr = PartialResidue(ntheory.PrimeModulus(B), x0)
-    y0 = polybuild.solve_companion_residue(N, center, pr)
-    f = polybuild.build_polynomial(N, center, pr, y0)
-    margin = polybuild.bound_margin(f, bounds)
-
-    try:
-        result = lattice.coppersmith_bivariate(
-            f, bounds, recenter_depth=lattice_depth
-        )
-        for i, (x, _y) in enumerate(result.roots, start=1):
-            hit = polybuild.recover_factor(N, center, pr, x)
-            if hit is not None:
-                return finish(hit, Method.COPPERSMITH, i, B, x0, y0, margin)
-    except lattice.LatticeFailure:
-        pass
-
-    sweep = _x_sweep(N, center, pr, bounds.X)
-    if sweep is not None:
-        hit, steps = sweep
-        return finish(hit, Method.X_SWEEP, steps, B, x0, y0, margin)
-    raise PipelineFailure(f"lattice and sweep both failed for N={N}")
+    bounds = RootBounds.balanced(N)
+    record = _solve_residue(
+        N, center, bounds, PartialResidue(modulus, x0), bounds.X, t0
+    )
+    if record is None:
+        raise PipelineFailure(f"lattice and sweep both failed for N={N}")
+    return record
 
 
 @dataclass(frozen=True)
 class FactorCaps:
-    """Budgets for factor_auto stages."""
+    """Budgets for factor_auto stages: the trial-division limit, the square
+    tests of the difference-of-squares search, and the number of moduli and
+    the per-residue sweep range of the residue enumeration.  The lattice pass
+    per residue runs without recentering; the sweep is what guarantees
+    termination."""
 
     trial_limit: int = 10_000
     fermat_cap: int = fermat.DEFAULT_STEP_CAP
     modulus_candidates: int = 8
     sweep_cap: int | None = None  # None: the full balanced bound
-    # lattice effort per enumerated residue; 0 keeps the residue loop cheap
-    # (the per-residue sweep is what guarantees termination anyway)
-    lattice_depth: int = 0
 
 
 @dataclass
@@ -282,39 +280,28 @@ def _trial_primes(limit: int) -> list[int]:
     return [p for p in _TRIAL_CACHE[1] if p <= limit]
 
 
-def _pipeline_without_oracle(
-    n: int, caps: FactorCaps
-) -> tuple[int, Method] | None:
+def _enumerate_residues(n: int, caps: FactorCaps) -> TrialRecord | None:
     """Enumerate candidate residues x0 in [0, B) for a few moduli B and run
-    the lattice-plus-sweep pipeline on each; B is about n**(1/6), so this
-    realizes the residue-enumeration outer loop literally."""
+    the residue stage on each; B is about n**(1/6), so this realizes the
+    residue-enumeration outer loop literally."""
+    t0 = time.perf_counter()
     center = FactorCenter.balanced(n)
-    if n % center.P0 == 0 and center.P0 > 1:
-        return center.P0, Method.X_SWEEP
+    if n % center.P0 == 0:  # degenerate center, as in run_pipeline
+        return _record(n, center.P0, t0, Method.X_SWEEP, 1)
     bounds = RootBounds.balanced(n)
     sweep_limit = bounds.X if caps.sweep_cap is None else min(bounds.X, caps.sweep_cap)
     B = ntheory.next_prime(max(ntheory.iroot(n, 6), 2))
     for _ in range(caps.modulus_candidates):
         if math.gcd(center.P0, B) == 1:
+            modulus = ntheory.PrimeModulus(B)
             for x0 in range(1, B):
                 if math.gcd(center.P0 + x0, B) != 1:
                     continue
-                pr = PartialResidue(ntheory.PrimeModulus(B), x0)
-                y0 = polybuild.solve_companion_residue(n, center, pr)
-                f = polybuild.build_polynomial(n, center, pr, y0)
-                try:
-                    result = lattice.coppersmith_bivariate(
-                        f, bounds, recenter_depth=caps.lattice_depth
-                    )
-                    for (x, _y) in result.roots:
-                        hit = polybuild.recover_factor(n, center, pr, x)
-                        if hit is not None:
-                            return hit, Method.COPPERSMITH
-                except (lattice.LatticeFailure, lattice.ReducibleInput):
-                    pass
-                sweep = _x_sweep(n, center, pr, sweep_limit)
-                if sweep is not None:
-                    return sweep[0], Method.X_SWEEP
+                record = _solve_residue(
+                    n, center, bounds, PartialResidue(modulus, x0), sweep_limit, t0
+                )
+                if record is not None:
+                    return record
         B = ntheory.next_prime(B + 1)
     return None
 
@@ -367,9 +354,9 @@ def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
                 continue
         except fermat.Exhausted:
             pass
-        found = _pipeline_without_oracle(n, caps)
-        if found is not None:
-            stack.extend([found[0], n // found[0]])
+        record = _enumerate_residues(n, caps)
+        if record is not None:
+            stack.extend([record.p, record.q])
             continue
         result.cofactor *= n
     result.factors.sort()

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._intpoly import Poly, integer_roots, ptrim, sylvester_resultant
+from ._intpoly import Poly, bareiss_det, integer_roots, ptrim, sylvester_resultant
 from .polybuild import BilinearPoly, RootBounds, bound_margin, is_reducible
 
 IntegerMatrix = list[list[int]]
@@ -179,34 +179,16 @@ def integer_row_basis(rows: IntegerMatrix) -> IntegerMatrix:
     return mat[:r]
 
 
-def _bareiss_det_int(m: IntegerMatrix) -> int:
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _det(m: IntegerMatrix) -> int:
+    """Integer determinant via the polynomial Bareiss on constant entries."""
+    det = bareiss_det([[[v] if v else [] for v in row] for row in m])
+    return det[0] if det else 0
 
 
 def gram_det(rows: IntegerMatrix) -> int:
     """Determinant of the Gram matrix B*B^T (squared lattice covolume)."""
     gram = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
-    return _bareiss_det_int(gram)
+    return _det(gram)
 
 
 def _fraction_gs(
@@ -287,7 +269,7 @@ def check_reduction(
             problems.append("reduced rows are not integer combinations of input")
         else:
             u_int = [[int(c) for c in trow] for trow in transform]
-            det_u = _bareiss_det_int(u_int)
+            det_u = _det(u_int)
             if det_u not in (1, -1):
                 problems.append(f"transform determinant is {det_u}, not +-1")
     try:
@@ -329,45 +311,29 @@ class CoppersmithResult:
     certified: bool
 
 
-def _back_substitute_y(
-    c3: int, c2: int, c1: int, c0: int, y: int, X: int
-) -> tuple[int, int] | None:
-    lead = c3 * y + c2
+def _back_substitute(c3: int, a: int, b: int, c0: int, t: int) -> int | None:
+    """The integer s with c3*t*s + a*s + b*t + c0 = 0, if there is one.
+
+    (a, b) = (c2, c1) solves f(s, t) = 0 for x given y; (a, b) = (c1, c2)
+    solves f(t, s) = 0 for y given x.
+    """
+    lead = c3 * t + a
     if lead == 0:
         return None
-    rhs = -(c1 * y + c0)
-    x, r = divmod(rhs, lead)
-    if r == 0 and abs(x) <= X:
-        return (x, y)
-    return None
+    s, r = divmod(-(b * t + c0), lead)
+    return None if r else s
 
 
-def _back_substitute_x(
-    c3: int, c2: int, c1: int, c0: int, x: int, Y: int
-) -> tuple[int, int] | None:
-    lead = c3 * x + c1
-    if lead == 0:
-        return None
-    rhs = -(c2 * x + c0)
-    y, r = divmod(rhs, lead)
-    if r == 0 and abs(y) <= Y:
-        return (x, y)
-    return None
+def _is_root_in_box(f: BilinearPoly, x: int, y: int, X: int, Y: int) -> bool:
+    return abs(x) <= X and abs(y) <= Y and f.evaluate(x, y) == 0
 
 
 def _lattice_pass(
-    c3: int,
-    c2: int,
-    c1: int,
-    c0: int,
-    X: int,
-    Y: int,
-    m: int,
-    n_pow: int,
-    params: ReductionParams,
+    f: BilinearPoly, X: int, Y: int, m: int, n_pow: int, params: ReductionParams
 ) -> tuple[set[tuple[int, int]], bool, bool]:
     """One build-reduce-extract pass.  Returns (roots, saw_independent_h,
     certified)."""
+    c3, c2, c1, c0 = f.coefficients()
     gm = m + 1
     mons = [(i, j) for i in range(gm + 1) for j in range(gm + 1)]
     midx = {mn: t for t, mn in enumerate(mons)}
@@ -413,9 +379,9 @@ def _lattice_pass(
         saw_independent = True
         certified = sum(abs(v) for v in row) < n_mod
         for y in integer_roots(res_y, Y):
-            hit = _back_substitute_y(c3, c2, c1, c0, y, X)
-            if hit is not None and c3 * hit[0] * hit[1] + c2 * hit[0] + c1 * hit[1] + c0 == 0:
-                roots.add(hit)
+            x = _back_substitute(c3, c2, c1, c0, y)
+            if x is not None and _is_root_in_box(f, x, y, X, Y):
+                roots.add((x, y))
         hy: list[Poly] = [
             ptrim([coeffs.get((i, j), 0) for i in range(gm + 1)])
             for j in range(gm + 1)
@@ -423,9 +389,9 @@ def _lattice_pass(
         res_x = sylvester_resultant(fy, hy)
         if res_x:
             for x in integer_roots(res_x, X):
-                hit = _back_substitute_x(c3, c2, c1, c0, x, Y)
-                if hit is not None and c3 * hit[0] * hit[1] + c2 * hit[0] + c1 * hit[1] + c0 == 0:
-                    roots.add(hit)
+                y = _back_substitute(c3, c1, c2, c0, x)
+                if y is not None and _is_root_in_box(f, x, y, X, Y):
+                    roots.add((x, y))
         if certified:
             # a short independent h vanishes at every root in the box, so the
             # extraction above is provably complete: stop here
@@ -433,21 +399,18 @@ def _lattice_pass(
     return roots, saw_independent, False
 
 
-def _recentered(c3: int, c2: int, c1: int, c0: int, cx: int, cy: int):
-    """Coefficients of f(x + cx, y + cy)."""
-    return (
-        c3,
-        c2 + c3 * cy,
-        c1 + c3 * cx,
-        c0 + c2 * cx + c1 * cy + c3 * cx * cy,
+def _recentered(f: BilinearPoly, cx: int, cy: int) -> BilinearPoly:
+    """f(x + cx, y + cy)."""
+    return BilinearPoly(
+        f.c3,
+        f.c2 + f.c3 * cy,
+        f.c1 + f.c3 * cx,
+        f.evaluate(cx, cy),
     )
 
 
 def _solve_box(
-    c3: int,
-    c2: int,
-    c1: int,
-    c0: int,
+    f: BilinearPoly,
     X: int,
     Y: int,
     params: ReductionParams,
@@ -459,9 +422,7 @@ def _solve_box(
     covered this whole box (directly or via all sub-boxes)."""
     m = params.shift_degree
     for n_pow in (m, m + 1) if top else (m,):
-        roots, indep, certified = _lattice_pass(
-            c3, c2, c1, c0, X, Y, m, n_pow, params
-        )
+        roots, indep, certified = _lattice_pass(f, X, Y, m, n_pow, params)
         state["independent"] = state["independent"] or indep
         if certified:
             return roots, True
@@ -476,19 +437,13 @@ def _solve_box(
         all_resolved = True
         for cx in centers_x:
             for cy in centers_y:
-                sub = _recentered(c3, c2, c1, c0, cx, cy)
                 sub_roots, sub_resolved = _solve_box(
-                    *sub, hx, hy, params, depth - 1, False, state
+                    _recentered(f, cx, cy), hx, hy, params, depth - 1, False, state
                 )
                 all_resolved = all_resolved and sub_resolved
                 for (x, y) in sub_roots:
-                    xx, yy = x + cx, y + cy
-                    if (
-                        abs(xx) <= X
-                        and abs(yy) <= Y
-                        and c3 * xx * yy + c2 * xx + c1 * yy + c0 == 0
-                    ):
-                        union.add((xx, yy))
+                    if _is_root_in_box(f, x + cx, y + cy, X, Y):
+                        union.add((x + cx, y + cy))
         if union or all_resolved:
             return union, all_resolved
     return set(), False
@@ -515,9 +470,7 @@ def coppersmith_bivariate(
         raise ReducibleInput("f must be irreducible (c0*c3 != c1*c2)")
     margin = bound_margin(f, b)
     state = {"independent": False}
-    roots, resolved = _solve_box(
-        f.c3, f.c2, f.c1, f.c0, b.X, b.Y, params, recenter_depth, True, state
-    )
+    roots, resolved = _solve_box(f, b.X, b.Y, params, recenter_depth, True, state)
     if roots or resolved:
         return CoppersmithResult(sorted(roots), margin, resolved)
     raise LatticeFailure(

@@ -40,11 +40,6 @@ class FactorCenter:
         r = isqrt(N)
         return cls(r, r)
 
-    @classmethod
-    def unbalanced(cls, N: int) -> "FactorCenter":
-        """Skewed center P0 = floor(N**(1/3)), Q0 = floor(N**(2/3))."""
-        return cls(iroot(N, 3), iroot(N * N, 3))
-
 
 @dataclass(frozen=True)
 class PartialResidue:
@@ -93,10 +88,6 @@ class RootBounds:
     def balanced(cls, N: int) -> "RootBounds":
         r = max(iroot(N, 3), 1)
         return cls(r, r)
-
-    @classmethod
-    def unbalanced(cls, N: int) -> "RootBounds":
-        return cls(max(2 * iroot(N, 12), 1), max(2 * iroot(N**7, 12), 1))
 
 
 def derive_partial_residue(

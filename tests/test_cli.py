@@ -42,7 +42,19 @@ def test_factor_pipeline_method(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "11639 = 103 * 113"
     rec = json.loads(lines[1])
-    assert rec["method"] in ("COPPERSMITH", "X_SWEEP")
+    # the residue stage's own record: B = 5, x0 = 1 is the first residue
+    # enumerated, and its first lattice root recovers 103
+    assert (rec["B"], rec["x0"], rec["y0"]) == ("5", "1", "1")
+    assert rec["method"] == "COPPERSMITH" and rec["steps"] == "1"
+
+
+def test_factor_pipeline_method_degenerate_center(capsys):
+    code, out, _ = run_cli(capsys, "factor", "49", "--method", "pipeline")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "49 = 7 * 7"
+    rec = json.loads(lines[1])
+    assert (rec["p"], rec["q"], rec["method"], rec["steps"]) == ("7", "7", "X_SWEEP", "1")
 
 
 def test_factor_shifted_method(capsys):
@@ -92,6 +104,16 @@ def test_gen_unbalanced_flag(capsys):
     row = json.loads(out.strip())
     p, N = int(row["p"]), int(row["N"])
     assert 2 * p**3 > N >= p**3
+
+
+def test_gen_unbalanced_bits_2_mod_3(capsys):
+    code, out, _ = run_cli(
+        capsys, "gen", "--bits", "44", "--count", "1", "--seed", "0", "--unbalanced"
+    )
+    assert code == 0
+    row = json.loads(out.strip())
+    p, N = int(row["p"]), int(row["N"])
+    assert N.bit_length() == 44 and 2 * p**3 > N >= p**3
 
 
 def test_experiment_writes_jsonl(tmp_path, capsys):

@@ -50,6 +50,16 @@ def test_gen_unbalanced_properties():
     assert q.bit_length() in (24, 25)
 
 
+def test_gen_unbalanced_every_size():
+    # every residue class of bits mod 3, including bits = 2 (mod 3)
+    for bits in range(16, 97):
+        for seed in range(3):
+            spec = SemiprimeSpec(bits=bits, balance=Balance.UNBALANCED, seed=seed)
+            N, p, q = gen_semiprime(spec)
+            assert p * q == N and N.bit_length() == bits and p < q
+            assert 2 * p**3 > N >= p**3
+
+
 def test_run_pipeline_worked_instance():
     rec = run_pipeline(11639, 103)
     assert rec.success
@@ -62,6 +72,15 @@ def test_run_pipeline_worked_instance():
 def test_run_pipeline_minimal_case():
     rec = run_pipeline(35, 5)
     assert rec.success and (rec.p, rec.q) == (5, 7)
+
+
+def test_run_pipeline_degenerate_center():
+    # N = p*p: isqrt(N) = p divides N, so no residue or lattice is needed
+    for p in (7, ntheory.next_prime((1 << 39) + 12345)):
+        rec = run_pipeline(p * p, p)
+        assert rec.success and (rec.p, rec.q) == (p, p)
+        assert (rec.method, rec.steps) == (Method.X_SWEEP, 1)
+        assert (rec.B, rec.x0, rec.y0) == (0, 0, 0)
 
 
 def test_run_pipeline_rejects_bad_hint():

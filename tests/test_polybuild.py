@@ -41,9 +41,6 @@ def full_construction(N, p):
 def test_factor_center_constructors():
     c = FactorCenter.balanced(11639)
     assert (c.P0, c.Q0) == (107, 107)
-    cu = FactorCenter.unbalanced(46755486199)
-    assert cu.P0 == ntheory.iroot(46755486199, 3)
-    assert cu.Q0 == ntheory.iroot(46755486199**2, 3)
     with pytest.raises(ValueError):
         FactorCenter(10, 5)
     with pytest.raises(ValueError):
@@ -135,37 +132,6 @@ def test_root_identity_random_balanced():
             assert f.evaluate(y1, x1) == 0
         # recovery from the planted root
         assert recover_factor(N, center, pr, x1) == p
-
-
-def test_root_identity_unbalanced_instance():
-    rng = random.Random(3)
-    # 36-bit N from a 12-bit and a 24-bit prime
-    for _ in range(50):
-        p = next_prime(rng.randrange(1 << 11, 1 << 12))
-        q = next_prime(rng.randrange(1 << 23, 1 << 24))
-        N = p * q
-        if N.bit_length() != 36 or p**3 > N:
-            continue
-        center = FactorCenter.unbalanced(N)
-        B = next_prime(max(ntheory.iroot(N, 6), 2))
-        for _ in range(16):
-            x0 = (p - center.P0) % B
-            if x0 and math.gcd(center.P0 + x0, B) == 1:
-                break
-            B = next_prime(B + 1)
-        else:
-            continue
-        pr = PartialResidue(PrimeModulus(B), x0)
-        y0 = solve_companion_residue(N, center, pr)
-        f = build_polynomial(N, center, pr, y0)
-        x1 = (p - center.P0 - pr.x0) // B
-        y1 = (q - center.Q0 - y0) // B
-        assert f.evaluate(x1, y1) == 0
-        bounds = RootBounds.unbalanced(N)
-        assert abs(x1) <= bounds.X and abs(y1) <= bounds.Y
-        assert recover_factor(N, center, pr, x1) == p
-        return
-    pytest.skip("no unbalanced instance found in budget")
 
 
 def test_is_reducible_examples():
