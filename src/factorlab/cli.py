@@ -132,15 +132,13 @@ def _cmd_factor(args) -> int:
         return 0
     # auto
     result = harness.factor_auto(N, FactorCaps(fermat_cap=args.cap))
-    ms = (time.perf_counter() - t0) * 1000.0
     factors = " * ".join(str(f) for f in result.factors)
     if not result.complete:
         print(f"{N} = {factors} * [{result.cofactor}]  (incomplete)")
         return 2
     print(f"{N} = {factors}")
-    small = result.factors[0] if result.factors else N
-    method = Method.TRIAL_DIVISION if small <= 10_000 else Method.FERMAT
-    print(_record_for_split(N, small, method, 0, ms).to_json())
+    if result.splits:  # the split of N itself, from the stage that made it
+        print(result.splits[0].to_json())
     return 0
 
 

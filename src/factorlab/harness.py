@@ -43,6 +43,7 @@ class Method(str, Enum):
     COPPERSMITH = "COPPERSMITH"
     X_SWEEP = "X_SWEEP"
     TRIAL_DIVISION = "TRIAL_DIVISION"
+    PERFECT_POWER = "PERFECT_POWER"
 
 
 @dataclass(frozen=True)
@@ -252,10 +253,16 @@ class FactorCaps:
 
 @dataclass
 class Factorization:
-    """Prime factors with multiplicity; cofactor > 1 flags an incomplete run."""
+    """Prime factors with multiplicity; cofactor > 1 flags an incomplete run.
+
+    splits holds one TrialRecord per split of a composite into two factors,
+    in the order the driver made them, each built by the stage that made it;
+    for a composite N, splits[0] is the split of N itself.
+    """
 
     factors: list[int] = field(default_factory=list)
     cofactor: int = 1
+    splits: list[TrialRecord] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -325,11 +332,14 @@ def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
         if ntheory.is_prime(n):
             result.factors.append(n)
             continue
+        t0 = time.perf_counter()
         reduced = False
-        for p in _trial_primes(caps.trial_limit):
+        for tried, p in enumerate(_trial_primes(caps.trial_limit), start=1):
             if p * p > n:
                 break
             while n % p == 0:
+                if n != p:
+                    result.splits.append(_record(n, p, t0, Method.TRIAL_DIVISION, tried))
                 result.factors.append(p)
                 n //= p
                 reduced = True
@@ -338,11 +348,13 @@ def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
         if reduced:
             stack.append(n)
             continue
-        # perfect power: n = r**k
+        # perfect power: n = r**k, split as r * r**(k-1); steps counts the
+        # exponents tried
         for k in range(2, n.bit_length() + 1):
             r = ntheory.iroot(n, k)
             if r >= 2 and r**k == n:
-                stack.extend([r] * k)
+                result.splits.append(_record(n, r, t0, Method.PERFECT_POWER, k - 1))
+                stack.extend([r, n // r])
                 reduced = True
                 break
         if reduced:
@@ -350,12 +362,16 @@ def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
         try:
             report = fermat.fermat_factor(n, caps.fermat_cap)
             if report.p > 1:
+                result.splits.append(
+                    _record(n, report.p, t0, Method.FERMAT, report.steps)
+                )
                 stack.extend([report.p, report.q])
                 continue
         except fermat.Exhausted:
             pass
         record = _enumerate_residues(n, caps)
         if record is not None:
+            result.splits.append(record)
             stack.extend([record.p, record.q])
             continue
         result.cofactor *= n

@@ -1,8 +1,15 @@
 """Exact lattice reduction and a bivariate small-root solver.
 
-lll_reduce is an all-integer LLL (Gram determinants d_i and scaled
-Gram-Schmidt coefficients lambda_ij stay integral throughout), so
-size-reduction and the Lovasz condition hold exactly, not up to rounding.
+lll_reduce runs in two stages.  A floating-point pass in the style of
+Schnorr-Euchner and Nguyen-Stehle's L2 takes its size-reduction and swap
+decisions from a double-precision Cholesky factorisation of the Gram matrix,
+while the basis and the Gram matrix themselves stay exact integers; every
+row operation is unimodular, so whatever the doubles decide, the pass
+returns a basis of the same lattice.  The all-integer LLL (Gram
+determinants d_i and scaled Gram-Schmidt coefficients lambda_ij stay
+integral throughout) then runs on that basis: it either confirms the float
+output untouched or finishes the reduction, so size reduction and the
+Lovasz condition of the result hold exactly, not up to rounding.
 check_reduction re-derives every claimed property of a reduced basis from
 scratch with rational arithmetic.
 
@@ -23,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import fsum, inf, ldexp, log2
+from operator import mul
 
 from ._intpoly import Poly, bareiss_det, integer_roots, ptrim, sylvester_resultant
 from .polybuild import BilinearPoly, RootBounds, bound_margin, is_reducible
@@ -73,18 +82,143 @@ def _validate_matrix(basis: IntegerMatrix) -> int:
     return width
 
 
+# Gram entries are scaled so that the largest diagonal entry sits near
+# 2**_GRAM_TOP_BITS, leaving headroom below the double overflow at 2**1024
+_GRAM_TOP_BITS = 960
+
+
+def _to_double(x: int, shift: int) -> float:
+    """x * 2**-shift as a double.  Only the top 53 bits of x are converted,
+    with x's own exponent restored by ldexp, so the int-to-float step cannot
+    overflow however large x is."""
+    e = x.bit_length() - 53
+    return ldexp(x >> e, e - shift) if e > 0 else ldexp(x, -shift)
+
+
+def _float_pass(b: IntegerMatrix, delta: float) -> IntegerMatrix:
+    """LLL with its decisions taken in doubles; b is updated in place and
+    returned.
+
+    The basis and its Gram matrix stay exact Python ints.  For the row k in
+    hand, r and mu come from a Cholesky step on the exact Gram entries;
+    size reduction is lazy, as in L2: each round subtracts the rounded mu
+    multiples of the earlier rows, updates the row's Gram entries exactly
+    and recomputes mu, until every |mu| <= 1/2 in doubles or a round stops
+    shrinking the largest |mu| (a mu within rounding of +-1/2).  Rows swap
+    on the float Lovasz test.  The pass stops early, returning the basis it
+    has, on a non-finite double or a division by zero, and after more swaps
+    than exact LLL can make on this input; either way every row operation
+    was unimodular, so b still spans the input lattice.
+    """
+    n = len(b)
+    gram = [[sum(map(mul, u, v)) for v in b] for u in b]
+    top_bits = max(gram[i][i].bit_length() for i in range(n))
+    shift = max(top_bits - _GRAM_TOP_BITS, 0)
+    # each exact swap shrinks prod_i d_i >= 1 by the factor delta
+    swap_cap = int(top_bits * n * (n - 1) / (2 * log2(1 / delta))) + n
+    # the Gram matrix in doubles, r[k][j] = <b_k, b*_j> for j < k and
+    # rr[k] = ||b*_k||^2, all scaled by 2**-shift; mu[k][j] = r[k][j] / rr[j]
+    fgram = [[_to_double(g, shift) for g in row] for row in gram]
+    mu: list[list[float]] = [[] for _ in range(n)]
+    r: list[list[float]] = [[] for _ in range(n)]
+    rr = [0.0] * n
+
+    def gso_row(k: int) -> bool:
+        fk = fgram[k]
+        rk: list[float] = []
+        muk: list[float] = []
+        for j in range(k):
+            s = fk[j] - fsum(map(mul, mu[j], rk))
+            rk.append(s)
+            muk.append(s / rr[j])
+        s = fk[k] - fsum(map(mul, muk, rk))
+        r[k], mu[k], rr[k] = rk, muk, s
+        return -inf < s < inf  # a nan or inf anywhere in the row reaches s
+
+    def size_reduce(k: int) -> bool:
+        shrunk = inf
+        while True:
+            if not gso_row(k):
+                return False
+            muk = mu[k]
+            top = max(map(abs, muk))
+            if top <= 0.5 or top >= shrunk:
+                return True
+            shrunk = top
+            xs = muk[:]
+            coeffs = []
+            for j in range(k - 1, -1, -1):
+                x = round(xs[j])
+                if x:
+                    coeffs.append((j, x))
+                    xs[:j] = [a - x * c for a, c in zip(xs, mu[j])]
+            bk, gk = b[k], gram[k]
+            for j, x in coeffs:
+                bk = [u - x * v for u, v in zip(bk, b[j])]
+                gj = gram[j]
+                gkk = gk[k] - x * (2 * gk[j] - x * gj[j])
+                gk = [g - x * h for g, h in zip(gk, gj)]
+                gk[k] = gkk
+            fk = [_to_double(g, shift) for g in gk]
+            b[k], gram[k], fgram[k] = bk, gk, fk
+            for i in range(n):
+                gram[i][k] = gk[i]
+                fgram[i][k] = fk[i]
+
+    swaps = 0
+    try:
+        rr[0] = fgram[0][0]
+        k = 1
+        reduced = False  # row k is size-reduced and its r, mu are current
+        while k < n:
+            if not reduced and not size_reduce(k):
+                return b
+            m = mu[k][k - 1]
+            if (delta - m * m) * rr[k - 1] <= rr[k]:
+                k += 1
+                reduced = False
+                continue
+            swaps += 1
+            if swaps > swap_cap:
+                return b
+            b[k - 1], b[k] = b[k], b[k - 1]
+            for g in (gram, fgram):
+                g[k - 1], g[k] = g[k], g[k - 1]
+                for row in g:
+                    row[k - 1], row[k] = row[k], row[k - 1]
+            if k == 1:
+                rr[0] = fgram[0][0]
+                reduced = False
+            else:
+                # b_k moves to k-1: its r and mu against rows 0..k-2 stand,
+                # and only its diagonal entry changes
+                rk, muk = r[k][:-1], mu[k][:-1]
+                r[k - 1], mu[k - 1] = rk, muk
+                rr[k - 1] = fgram[k - 1][k - 1] - fsum(map(mul, muk, rk))
+                k -= 1
+                reduced = True
+    except (ArithmeticError, ValueError):
+        # a double overflowed, a norm was zero, or round() met inf or nan
+        pass
+    return b
+
+
 def lll_reduce(
     basis: IntegerMatrix, params: ReductionParams | None = None
 ) -> IntegerMatrix:
-    """LLL-reduce a basis of row vectors; exact integer arithmetic throughout.
+    """LLL-reduce a basis of row vectors.
 
-    Output spans the same lattice (unimodular row transform), is
-    size-reduced (|mu_ij| <= 1/2) and satisfies the Lovasz condition with the
-    given delta.  Raises DependentRows if the rows are not independent.
+    A floating-point pass (_float_pass) does the bulk of the reduction with
+    exact row operations; the all-integer LLL below then runs on its output
+    and either leaves it as it is or finishes the reduction.  The returned
+    basis therefore always comes out of the exact loop: it spans the same
+    lattice (unimodular row transform), is size-reduced (|mu_ij| <= 1/2) and
+    satisfies the Lovasz condition with the given delta, exactly.  Raises
+    DependentRows if the rows are not independent.
     """
     params = params or ReductionParams()
     _validate_matrix(basis)
-    b = [[int(x) for x in row] for row in basis]
+    b = _float_pass([[int(x) for x in row] for row in basis], float(params.delta))
     n = len(b)
     dn, dd = params.delta.numerator, params.delta.denominator
     d = [0] * (n + 1)  # d[k] = Gram determinant of the first k rows
@@ -211,9 +345,13 @@ def _fraction_gs(
     return bstar, mu, norms
 
 
-def _solve_rational(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+def _solve_rational(
+    a: list[list[Fraction]], rhs: list[list[Fraction]]
+) -> list[list[Fraction]]:
+    """Solutions x of a x = r for every right-hand side r in rhs, by one
+    Gauss-Jordan elimination of a augmented with all of them."""
     n = len(a)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(a)]
+    m = [row[:] + [r[i] for r in rhs] for i, row in enumerate(a)]
     for c in range(n):
         piv = next((i for i in range(c, n) if m[i][c] != 0), None)
         if piv is None:
@@ -225,7 +363,7 @@ def _solve_rational(a: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
             if i != c and m[i][c] != 0:
                 factor = m[i][c]
                 m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+    return [[m[i][n + k] for i in range(n)] for k in range(len(rhs))]
 
 
 def check_reduction(
@@ -256,11 +394,12 @@ def check_reduction(
         [Fraction(sum(x * y for x, y in zip(u, v))) for v in original]
         for u in original
     ]
-    transform: list[list[Fraction]] = []
+    rhs = [
+        [Fraction(sum(x * y for x, y in zip(row, v))) for v in original]
+        for row in reduced
+    ]
     try:
-        for row in reduced:
-            rhs = [Fraction(sum(x * y for x, y in zip(row, v))) for v in original]
-            transform.append(_solve_rational(gram, rhs))
+        transform = _solve_rational(gram, rhs)
     except DependentRows:
         problems.append("original rows are dependent; transform undefined")
         transform = []

@@ -74,16 +74,77 @@ def modinv(a: int, m: int) -> int:
         raise NotInvertible(f"{a} is not invertible mod {m}") from exc
 
 
-# Strong-pseudoprime witnesses: deterministic for n < 2**64; for larger n the
-# same fixed bases give a pseudoprime test with negligible failure odds at the
-# sizes this library handles.
+# Miller-Rabin with the first twelve primes as bases decides primality for
+# every n below this bound (Jiang and Deng, Math. Comp. 2014).  The bound is
+# itself composite and a strong pseudoprime to all twelve bases.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PROVEN_BELOW = 318665857834031151167461
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters: D is the
+    first of 5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  n must be odd and have no prime factor below 50."""
+    if is_perfect_square(n) is not None:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # gcd(|D|, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:  # x / 2 mod n, n odd
+        return (x if x % 2 == 0 else x + n) // 2
+
+    # U_k, V_k and Q^k for k = 1, then along the bits of d (P = 1)
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half((U + V) % n), half((D * U + V) % n), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with fixed witnesses; correct for all n < 2**64."""
+    """Primality by trial division, Miller-Rabin to the twelve prime bases
+    2..37 and, for n >= 318665857834031151167461, a strong Lucas test.
+
+    Below that bound the Miller-Rabin bases alone are a proof.  From it up
+    the combination is the Baillie-PSW test: no composite is known to pass
+    it, though that none does is not proven.
+    """
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -104,7 +165,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_PROVEN_BELOW or _is_strong_lucas_prp(n)
 
 
 def next_prime(n: int) -> int:

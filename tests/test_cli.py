@@ -19,6 +19,40 @@ def test_factor_auto_small(capsys):
     rec = json.loads(lines[1])
     assert rec["N"] == "60"
     assert rec["method"] == "TRIAL_DIVISION"
+    assert (rec["p"], rec["q"], rec["steps"]) == ("2", "30", "1")
+
+
+def test_factor_auto_prints_the_record_of_the_split_of_n(capsys):
+    # the capped square search gives up, so the residue enumeration splits N;
+    # auto must print that stage's own record, as --method pipeline does
+    code, out, _ = run_cli(capsys, "factor", "21937688359", "--cap", "4")
+    assert code == 0
+    auto_lines = out.strip().splitlines()
+    code, out, _ = run_cli(capsys, "factor", "21937688359", "--method", "pipeline")
+    assert code == 0
+    pipe_lines = out.strip().splitlines()
+    assert auto_lines[0] == pipe_lines[0] == "21937688359 = 104729 * 209471"
+    auto_rec, pipe_rec = json.loads(auto_lines[1]), json.loads(pipe_lines[1])
+    del auto_rec["elapsed_ms"], pipe_rec["elapsed_ms"]
+    assert auto_rec == pipe_rec
+    assert (auto_rec["method"], auto_rec["B"], auto_rec["x0"], auto_rec["steps"]) == (
+        "X_SWEEP", "53", "23", "1639"
+    )
+
+
+def test_factor_auto_fermat_record_has_real_steps(capsys):
+    code, out, _ = run_cli(capsys, "factor", "1000000016000000063")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "1000000016000000063 = 1000000007 * 1000000009"
+    rec = json.loads(lines[1])
+    assert (rec["method"], rec["steps"]) == ("FERMAT", "1")
+
+
+def test_factor_auto_prime_prints_no_record(capsys):
+    code, out, _ = run_cli(capsys, "factor", "1000000007")
+    assert code == 0
+    assert out.strip().splitlines() == ["1000000007 = 1000000007"]
 
 
 def test_factor_fermat_method(capsys):
@@ -150,6 +184,17 @@ def test_lll_check_runs_clean(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_lll_check_entries_beyond_double_range(capsys):
+    # 700-bit entries put the Gram entries near 2**1400, past the doubles
+    code, out, _ = run_cli(
+        capsys, "lll-check", "--dim", "6", "--seed", "1", "--trials", "2",
+        "--entry-bits", "700",
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
 
 
 def test_lll_check_dim_validation(capsys):

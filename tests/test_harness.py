@@ -119,7 +119,13 @@ def test_factor_auto_prime_powers_and_primes():
     assert factor_auto(3**7).factors == [3] * 7
     p = ntheory.next_prime(10**7)
     assert factor_auto(p).factors == [p]
-    assert factor_auto(p * p).factors == [p, p]
+    assert factor_auto(p).splits == []
+    square, cube = factor_auto(p * p), factor_auto(p**3)
+    assert square.factors == [p, p] and cube.factors == [p, p, p]
+    assert [(r.method, r.steps) for r in square.splits] == [(Method.PERFECT_POWER, 1)]
+    assert [(r.N, r.method, r.steps) for r in cube.splits] == [
+        (p**3, Method.PERFECT_POWER, 2), (p**2, Method.PERFECT_POWER, 1)
+    ]
 
 
 def test_factor_auto_product_invariant_sampled():
@@ -128,6 +134,10 @@ def test_factor_auto_product_invariant_sampled():
         assert res.complete
         assert res.product() == n
         assert all(ntheory.is_prime(f) for f in res.factors)
+        # one record per split into two factors, the first one splitting n
+        assert len(res.splits) == len(res.factors) - 1
+        assert all(1 < r.p <= r.q and r.p * r.q == r.N for r in res.splits)
+        assert not res.splits or res.splits[0].N == n
 
 
 def test_factor_auto_pipeline_stage():
@@ -138,6 +148,8 @@ def test_factor_auto_pipeline_stage():
     res = factor_auto(p * q, FactorCaps(fermat_cap=4))
     assert res.complete
     assert res.factors == sorted([p, q])
+    [split] = res.splits
+    assert split.method in (Method.COPPERSMITH, Method.X_SWEEP) and split.B > 0
 
 
 def test_factor_auto_incomplete_flagged():

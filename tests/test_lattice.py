@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from factorlab import harness, lattice
 from factorlab.lattice import (
     BoundsTooLarge,
     DependentRows,
@@ -95,6 +98,62 @@ def test_lll_small_delta_first_vector_bound():
     params = ReductionParams(delta=Fraction(1, 2))
     reduced = lll_reduce(basis, params)
     assert check_reduction(basis, reduced, params) == []
+
+
+@st.composite
+def _bases(draw):
+    """Integer bases of 2..6 rows, up to 6 columns and entries of up to 900
+    bits, so that Gram entries pass the double range (2**1024)."""
+    n = draw(st.integers(2, 6))
+    width = draw(st.integers(n, 6))
+    bits = draw(st.integers(1, 900))
+    entry = st.integers(-(1 << bits), 1 << bits)
+    row = st.lists(entry, min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+_DELTAS = st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)])
+
+
+@settings(deadline=None)
+@given(_bases(), _DELTAS)
+def test_lll_output_passes_check_reduction(basis, delta):
+    params = ReductionParams(delta=delta)
+    if gram_det(basis) == 0:
+        with pytest.raises(DependentRows):
+            lll_reduce(basis, params)
+        return
+    assert check_reduction(basis, lll_reduce(basis, params), params) == []
+
+
+@settings(deadline=None)
+@given(_bases(), _DELTAS, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_lll_dependent_rows_still_rejected(basis, delta, coeffs):
+    combo = [sum(c * row[t] for c, row in zip(coeffs, basis)) for t in range(len(basis[0]))]
+    with pytest.raises(DependentRows):
+        lll_reduce(basis + [combo], ReductionParams(delta=delta))
+
+
+def test_float_pass_alone_reduces_pipeline_lattices(monkeypatch):
+    # the exact finish would repair a float pass that gives up early, so the
+    # results would stay right while the speed-up is lost: check the float
+    # pass's own output on the lattices the pipeline builds
+    captured = []
+    real = lattice.lll_reduce
+
+    def spy(basis, params=None):
+        captured.append([row[:] for row in basis])
+        return real(basis, params)
+
+    monkeypatch.setattr(lattice, "lll_reduce", spy)
+    for bits in (40, 56):
+        for seed in range(3):
+            N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=seed))
+            harness.run_pipeline(N, p)
+    assert len(captured) >= 6
+    for basis in captured:
+        reduced = lattice._float_pass([row[:] for row in basis], 0.75)
+        assert check_reduction(basis, reduced) == []
 
 
 def test_check_reduction_flags_bad_output():

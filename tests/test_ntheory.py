@@ -110,6 +110,39 @@ def test_is_prime_known_strong_pseudoprimes():
         assert not is_prime(n)
 
 
+def test_is_prime_pseudoprime_to_all_twelve_bases():
+    # strong pseudoprime to every base 2..37: the Miller-Rabin bases alone
+    # call it prime, the strong Lucas step does not
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    assert is_prime(next_prime(n))
+
+
+def test_strong_lucas_step_on_its_own_pseudoprimes():
+    # the strong Lucas pseudoprimes below 10**5 with Selfridge's parameters
+    # (OEIS A217255): the Lucas step passes them, base 2 rejects them
+    slpsp = (5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+             58519, 75077, 97439)
+    for n in range(53, 10**5, 2):
+        if math.gcd(n, 614889782588491410) == 1:  # no prime factor below 50
+            expect = is_prime(n) or n in slpsp
+            assert ntheory._is_strong_lucas_prp(n) == expect, n
+    assert not any(is_prime(n) for n in slpsp)
+
+
+def test_is_prime_matches_sympy_above_the_proven_range():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2024)
+    primes = 0
+    for _ in range(2000):
+        n = rng.randrange(1 << 78, 1 << 100) | 1
+        expect = sympy.isprime(n)
+        assert is_prime(n) == expect, n
+        primes += expect
+    assert primes >= 20  # the Lucas step really ran on primes
+
+
 def test_next_prime():
     assert next_prime(2) == 2
     assert next_prime(4) == 5
