@@ -9,6 +9,11 @@ exact over any integral domain.
 
 from __future__ import annotations
 
+from itertools import count
+from math import gcd
+
+from .ntheory import next_prime, sieve_primes
+
 Poly = list[int]
 
 
@@ -140,55 +145,102 @@ def sylvester_resultant(fx: list[Poly], hx: list[Poly]) -> Poly:
     return bareiss_det(rows)
 
 
-_SCAN_LIMIT = 1 << 16
+def _deriv(p: Poly) -> Poly:
+    return ptrim([i * c for i, c in enumerate(p)][1:])
+
+
+def _primitive(p: Poly) -> Poly:
+    """p divided by its content, with a positive leading coefficient."""
+    g = 0
+    for c in p:
+        g = gcd(g, c)
+    if p[-1] < 0:
+        g = -g
+    return [c // g for c in p]
+
+
+def _pseudo_rem(a: Poly, b: Poly) -> Poly:
+    """The remainder of lc(b)**(deg a - deg b + 1) * a on division by b."""
+    rem = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(rem) > db:
+        lr, shift = rem[-1], len(rem) - 1 - db
+        rem = [c * lb for c in rem]
+        for j, y in enumerate(b):
+            rem[shift + j] -= lr * y
+        ptrim(rem)
+    return rem
+
+
+def _pgcd(a: Poly, b: Poly) -> Poly:
+    """The primitive part, with a positive leading coefficient, of the gcd
+    over Z of nonzero a and b with deg a >= deg b (primitive polynomial
+    remainder sequence)."""
+    while True:
+        rem = _pseudo_rem(a, b)
+        if not rem:
+            return _primitive(b)
+        a, b = b, _primitive(rem)
+
+
+# the primes tried as the Hensel modulus, in order: those below 100 at
+# import, more from next_prime in the rare case a polynomial needs them
+_PRIMES = sieve_primes(100)
+
+
+def _nth_prime(i: int) -> int:
+    while len(_PRIMES) <= i:
+        _PRIMES.append(next_prime(_PRIMES[-1] + 1))
+    return _PRIMES[i]
 
 
 def integer_roots(p: Poly, bound: int) -> list[int]:
     """All integers r with |r| <= bound and p(r) = 0, for p not identically 0.
 
-    Nonzero roots divide the trailing coefficient, so small ranges are
-    scanned with a divisibility filter; large ranges fall back to sign-change
-    bisection (which can miss even-multiplicity roots; callers verify every
-    candidate independently, so the miss risk only affects completeness).
+    After the zero root is taken out, p is made primitive and squarefree
+    (divided by gcd(p, p') over Z).  The first prime l that does not divide
+    the leading coefficient and at which every root of p mod l is simple
+    exists, because only the primes dividing the leading coefficient or the
+    discriminant fail.  Every integer root reduces to one of those roots mod
+    l, and each lifts uniquely by Newton iteration (Hensel's lemma) until
+    l**k > 2*bound; the symmetric representatives with |r| <= bound that are
+    roots of p, checked exactly, are all the roots (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 15).
     """
     p = ptrim(list(p))
     if not p:
         raise ValueError("zero polynomial has every integer as a root")
     if bound < 0:
         return []
-    roots: set[int] = set()
     v = 0
-    while v < len(p) and p[v] == 0:
+    while p[v] == 0:
         v += 1
-    if v:
-        roots.add(0)
-        p = p[v:]
+    roots = [0] if v else []
+    p = _primitive(p[v:])
     if len(p) == 1:
-        return sorted(roots)
-    a0 = abs(p[0])
-    lim = min(bound, a0)
-    if 2 * lim + 1 <= _SCAN_LIMIT:
-        for r in range(-lim, lim + 1):
-            if r and a0 % r == 0 and peval(p, r) == 0:
-                roots.add(r)
-        return sorted(roots)
-
-    def rec(lo: int, hi: int, flo: int, fhi: int) -> None:
-        if lo + 1 >= hi:
-            return
-        mid = (lo + hi) // 2
-        fmid = peval(p, mid)
-        if fmid == 0:
-            roots.add(mid)
-        if flo == 0 or fmid == 0 or (flo < 0) != (fmid < 0):
-            rec(lo, mid, flo, fmid)
-        if fmid == 0 or fhi == 0 or (fmid < 0) != (fhi < 0):
-            rec(mid, hi, fmid, fhi)
-
-    flo, fhi = peval(p, -bound), peval(p, bound)
-    if flo == 0:
-        roots.add(-bound)
-    if fhi == 0:
-        roots.add(bound)
-    rec(-bound, bound, flo, fhi)
+        return roots
+    dp = _deriv(p)
+    g = _pgcd(p, dp)
+    if len(g) > 1:
+        p = pdivexact(p, g)
+        dp = _deriv(p)
+    for i in count():
+        l = _nth_prime(i)
+        if p[-1] % l == 0:
+            continue
+        pl = [c % l for c in p]
+        residues = [r for r in range(l) if peval(pl, r) % l == 0]
+        if not residues:
+            return roots
+        if all(peval(dp, r) % l for r in residues):
+            break
+    for r in residues:
+        m = l
+        while m <= 2 * bound:
+            m *= m
+            r = (r - peval(p, r) * pow(peval(dp, r), -1, m)) % m
+        if r > m // 2:
+            r -= m
+        if abs(r) <= bound and peval(p, r) == 0:
+            roots.append(r)
     return sorted(roots)

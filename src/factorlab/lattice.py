@@ -18,12 +18,14 @@ coppersmith_bivariate finds integer roots (x, y) of a bilinear f with
 the shift polynomials x^i y^j f (0 <= i, j <= m) plus modulus-scaled
 monomials, columns scaled by X, Y powers.  Short reduced vectors are read as
 polynomials h with h(root) = 0 modulo the working modulus; an h that is both
-independent of f and short enough vanishes at every in-range root outright,
-and resultants of f and h then pin the roots down.  When no pass certifies,
-the solver retries with a larger modulus and recenters the search box into
-quadrants (bounded recursion), which buys a few bits of slack per level.
-Soundness is unconditional (every returned pair is verified by exact
-evaluation); completeness is guaranteed only for certified passes.
+independent of f and short enough vanishes at every in-range root outright.
+One resultant Res_x(f, h) per reduced row then pins the roots down: its
+integer roots (all of them, by Hensel lifting) give every y, and f, linear
+in x, gives x.  When no pass certifies, the solver retries with a larger
+modulus and recenters the search box into quadrants (bounded recursion),
+which buys a few bits of slack per level.  Soundness is unconditional
+(every returned pair is verified by exact evaluation); a certified result's
+root list is complete for the box.
 """
 
 from __future__ import annotations
@@ -441,26 +443,23 @@ def check_reduction(
 
 @dataclass(frozen=True)
 class CoppersmithResult:
-    """Roots found, the bound margin of the call, and whether some pass was
-    certified (short-enough independent h: the root list is provably
-    complete for the box)."""
+    """Roots found, the bound margin of the call, and whether the result is
+    certified: a pass found a short-enough independent h, which vanishes at
+    every root in the box, and every integer root of its resultant was
+    found, so the root list is complete for the box."""
 
     roots: list[tuple[int, int]]
     margin_bits: float
     certified: bool
 
 
-def _back_substitute(c3: int, a: int, b: int, c0: int, t: int) -> int | None:
-    """The integer s with c3*t*s + a*s + b*t + c0 = 0, if there is one.
-
-    (a, b) = (c2, c1) solves f(s, t) = 0 for x given y; (a, b) = (c1, c2)
-    solves f(t, s) = 0 for y given x.
-    """
-    lead = c3 * t + a
+def _back_substitute(f: BilinearPoly, y: int) -> int | None:
+    """The integer x with f(x, y) = 0, if there is one."""
+    lead = f.c3 * y + f.c2
     if lead == 0:
         return None
-    s, r = divmod(-(b * t + c0), lead)
-    return None if r else s
+    x, r = divmod(-(f.c1 * y + f.c0), lead)
+    return None if r else x
 
 
 def _is_root_in_box(f: BilinearPoly, x: int, y: int, X: int, Y: int) -> bool:
@@ -494,7 +493,6 @@ def _lattice_pass(
         gen.append(row)
     reduced = lll_reduce(integer_row_basis(gen), params)
     fx = [[c0, c1], [c2, c3]]  # f as a poly in x over Z[y]
-    fy = [[c0, c2], [c1, c3]]
     roots: set[tuple[int, int]] = set()
     saw_independent = False
     for row in reduced:
@@ -517,20 +515,13 @@ def _lattice_pass(
             continue  # h is a multiple of f
         saw_independent = True
         certified = sum(abs(v) for v in row) < n_mod
+        # every root's y is a root of res_y, and f is linear in x with
+        # leading coefficient c3*y + c2, which vanishes at no root of an
+        # irreducible f, so back-substitution recovers every x
         for y in integer_roots(res_y, Y):
-            x = _back_substitute(c3, c2, c1, c0, y)
+            x = _back_substitute(f, y)
             if x is not None and _is_root_in_box(f, x, y, X, Y):
                 roots.add((x, y))
-        hy: list[Poly] = [
-            ptrim([coeffs.get((i, j), 0) for i in range(gm + 1)])
-            for j in range(gm + 1)
-        ]
-        res_x = sylvester_resultant(fy, hy)
-        if res_x:
-            for x in integer_roots(res_x, X):
-                y = _back_substitute(c3, c1, c2, c0, x)
-                if y is not None and _is_root_in_box(f, x, y, X, Y):
-                    roots.add((x, y))
         if certified:
             # a short independent h vanishes at every root in the box, so the
             # extraction above is provably complete: stop here

@@ -1,7 +1,10 @@
 import json
 import math
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlab import ntheory
 from factorlab.harness import (
@@ -138,6 +141,17 @@ def test_factor_auto_product_invariant_sampled():
         assert len(res.splits) == len(res.factors) - 1
         assert all(1 < r.p <= r.q and r.p * r.q == r.N for r in res.splits)
         assert not res.splits or res.splits[0].N == n
+
+
+_PRIMES_10_20 = st.integers(1 << 10, 1 << 20).map(ntheory.next_prime)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 1 << 40) | st.builds(mul, _PRIMES_10_20, _PRIMES_10_20))
+def test_factor_auto_product_and_primality(n):
+    res = factor_auto(n)
+    assert res.product() == n
+    assert all(ntheory.is_prime(f) for f in res.factors)
 
 
 def test_factor_auto_pipeline_stage():

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlab._intpoly import (
     bareiss_det,
@@ -11,6 +14,7 @@ from factorlab._intpoly import (
     pmul,
     sylvester_resultant,
 )
+from factorlab.ntheory import sieve_primes
 
 
 def test_poly_arithmetic_basics():
@@ -87,3 +91,107 @@ def test_integer_roots_bisection_path():
 def test_integer_roots_double_root_scan():
     poly = pmul([-7, 1], [-7, 1])
     assert integer_roots(poly, 100) == [7]
+
+
+def _from_roots(roots, lead=1):
+    poly = [lead]
+    for r in roots:
+        poly = pmul(poly, [-r, 1])
+    return poly
+
+
+def test_integer_roots_clustered_roots():
+    # two roots 10 apart with no sign change of p between them: bisection
+    # over [-2**17, 2**17] never looked inside that interval
+    poly = pmul(_from_roots([40000, 40010]), [1, 0, 1])
+    assert integer_roots(poly, 2**17) == [40000, 40010]
+
+
+def test_integer_roots_at_the_bound():
+    poly = _from_roots([17, -17, 3])
+    assert integer_roots(poly, 17) == [-17, 3, 17]
+    assert integer_roots(poly, 16) == [3]
+    big = 2**40 + 3
+    assert integer_roots(_from_roots([big, -big]), big) == [-big, big]
+    assert integer_roots(_from_roots([big, -big]), big - 1) == []
+
+
+def test_integer_roots_zero_root_multiplicity_three():
+    poly = pmul([0, 0, 0, 1], _from_roots([5, -2]))
+    assert integer_roots(poly, 10) == [-2, 0, 5]
+    assert integer_roots(poly, 1) == [0]
+
+
+def test_integer_roots_repeated_nonzero_roots():
+    poly = pmul(_from_roots([6, 6, -9, -9, -9]), [1, 1, 1])
+    assert integer_roots(poly, 100) == [-9, 6]
+    assert integer_roots(_from_roots([123457] * 4, lead=-3), 2**20) == [123457]
+
+
+def test_integer_roots_leading_coefficient_skips_small_primes():
+    # 3, 5 and 7 divide the leading coefficient, and the roots 1 and 211
+    # coincide modulo 2, 3, 5 and 7, so the first usable prime is 11
+    poly = pmul([1, 105], _from_roots([1, 211, -4]))
+    assert integer_roots(poly, 1000) == [-4, 1, 211]
+    assert integer_roots(pmul([1, 2 * 3 * 5 * 7], _from_roots([9])), 9) == [9]
+
+
+def test_integer_roots_congruent_modulo_every_prime_below_101():
+    # 1 and 1 + P coincide modulo every prime below 101, so no such prime
+    # has simple roots only, and the root finder must go on to 101
+    P = math.prod(sieve_primes(100))
+    assert integer_roots(_from_roots([1, 1 + P, -5]), P + 1) == [-5, 1, 1 + P]
+
+def test_integer_roots_bound_zero():
+    assert integer_roots(_from_roots([0, 1]), 0) == [0]
+    assert integer_roots(_from_roots([1, -1]), 0) == []
+    assert integer_roots([5], 0) == []
+    assert integer_roots([5], -1) == []
+
+
+def test_integer_roots_bound_2_80():
+    b = 2**80
+    roots = [b, -b, b - 1, 2**79 + 12345, -(3**50), b + 1]
+    poly = pmul(_from_roots(roots, lead=7), [3, 0, 2])
+    assert integer_roots(poly, b) == sorted(r for r in roots if abs(r) <= b)
+
+
+_COEFFS = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5).filter(any)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(-400, 400)), max_size=4),
+    _COEFFS,
+    st.integers(0, 300),
+)
+def test_integer_roots_match_brute_force(factors, cofactor, bound):
+    # linear factors a*x - b plant integer roots (a = 1 or a | b) and
+    # rational non-integer ones next to them
+    poly = cofactor
+    for a, b in factors:
+        poly = pmul(poly, [-b, a])
+    expected = [r for r in range(-bound, bound + 1) if peval(poly, r) == 0]
+    assert integer_roots(poly, bound) == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.dictionaries(st.integers(-(2**65), 2**65), st.integers(1, 3), max_size=4),
+    st.integers(0, 2**64),
+    st.integers(1, 10**9),
+    st.integers(-(10**9), 10**9).filter(bool),
+)
+def test_integer_roots_planted_with_multiplicity(planted, bound, a, c):
+    # the cofactor a*x^2 + c*x + c*c has no real root: c*c - 4*a*c*c < 0
+    poly = [c * c, c, a]
+    for r, mult in planted.items():
+        poly = pmul(poly, _from_roots([r] * mult))
+    roots = integer_roots(poly, bound)
+    assert roots == sorted(r for r in planted if abs(r) <= bound)
+    for r in roots:
+        # r divides poly exactly as often as it was planted
+        rest, mult = poly, 0
+        while peval(rest, r) == 0:
+            rest, mult = pdivexact(rest, [-r, 1]), mult + 1
+        assert mult == planted[r]

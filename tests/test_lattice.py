@@ -156,6 +156,22 @@ def test_float_pass_alone_reduces_pipeline_lattices(monkeypatch):
         assert check_reduction(basis, reduced) == []
 
 
+@pytest.mark.parametrize("dim", range(6, 13))
+@pytest.mark.parametrize("seed", range(2))
+def test_lll_knapsack_bases_pass_check_reduction(dim, seed):
+    # [I | M*a_i] with a_i of 300-600 bits: entries from 1 up to ~620 bits,
+    # far from reduced as drawn, unlike uniform random square bases
+    rng = random.Random(1000 * dim + seed)
+    M = 1 << 20
+    basis = [
+        [int(i == j) for j in range(dim)] + [M * rng.getrandbits(rng.randint(300, 600))]
+        for i in range(dim)
+    ]
+    reduced = lll_reduce(basis)
+    assert check_reduction(basis, reduced) == []
+    assert max(abs(v).bit_length() for row in reduced for v in row) < 320
+
+
 def test_check_reduction_flags_bad_output():
     # wrong lattice entirely: identity is not inside 2Z x 3Z
     assert check_reduction([[2, 0], [0, 3]], [[1, 0], [0, 1]]) != []
@@ -324,3 +340,21 @@ def test_coppersmith_completeness_at_margin_two_sampled():
         assert res.roots == exhaustive_roots(f, bounds)
         assert (x1, y1) in res.roots
         done += 1
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32))
+def test_coppersmith_matches_exhaustive_at_margin_two(seed):
+    # planted instances with the tight box (the root on its edge), box at
+    # most 2**8 and margin >= +2 bits: the solver finds exactly the roots the
+    # exhaustive scan finds
+    rng = random.Random(seed)
+    while True:
+        f, x1, y1 = planted_instance(rng, rng.randrange(16, 27))
+        side = max(abs(x1), abs(y1), 1)
+        bounds = RootBounds(side, side)
+        if side <= 1 << 8 and bound_margin(f, bounds) >= 2.0:
+            break
+    res = coppersmith_bivariate(f, bounds)
+    assert res.roots == exhaustive_roots(f, bounds)
+    assert (x1, y1) in res.roots
