@@ -2,9 +2,10 @@
 auto-factor driver, and batch experiment runners.
 
 One residue stage (companion residue -> bilinear polynomial -> lattice small
-roots -> x-sweep fallback) serves both run_pipeline, which feeds it the
-oracle residue of a known factor, and factor_auto, which feeds it every
-candidate residue of a few moduli.
+roots -> difference-of-squares search of the residue class over the balanced
+band -> x-sweep over the rest of the box) serves both run_pipeline, which
+feeds it the oracle residue of a known factor, and factor_auto, which feeds
+it every candidate residue of a few moduli.
 
 All randomness is seeded and splittable (splitmix64 over the user seed), so
 every run is bit-for-bit reproducible except for elapsed_ms fields.
@@ -29,7 +30,8 @@ class GenerationExhausted(RuntimeError):
 
 
 class PipelineFailure(RuntimeError):
-    """Both the lattice stage and the sweep fallback failed."""
+    """The lattice stage, the band search and the x-sweep all failed: no
+    factor of the residue class lies in the balanced band or in the box."""
 
 
 class Balance(Enum):
@@ -42,6 +44,7 @@ class Method(str, Enum):
     SHIFTED_FERMAT = "SHIFTED_FERMAT"
     COPPERSMITH = "COPPERSMITH"
     X_SWEEP = "X_SWEEP"
+    RESIDUE_FERMAT = "RESIDUE_FERMAT"
     TRIAL_DIVISION = "TRIAL_DIVISION"
     PERFECT_POWER = "PERFECT_POWER"
 
@@ -181,32 +184,79 @@ def _record(
     )
 
 
+def _band_search(
+    N: int, center: FactorCenter, pr: PartialResidue, y0: int
+) -> tuple[int | None, int, range]:
+    """The difference-of-squares search over the balanced band.
+
+    A divisor d = P0 + x0 (mod B) of N has cofactor e = Q0 + y0 (mod B), so
+    u = (d + e)/2 is fixed mod B and the search steps u by B from
+    ceil(sqrt(N)) to u_max = isqrt(9N // 8).  8u^2 <= 9N holds exactly when
+    (2d - e)(d - 2e) <= 0, that is N <= 2d^2 and d^2 <= 2N: the band holds
+    every divisor of the class in [sqrt(N/2), sqrt(2N)], so every balanced
+    instance (q < 2p).  Returns (d or None, square tests, xs), where xs are
+    the sweep offsets x whose candidate P0 + B*x + x0 lies in the band: when
+    the search finds nothing, none of them divides N.  Even N has no band
+    (u = (d + e)/2 needs d and e odd); B is an odd prime on every path.
+    """
+    if N % 2 == 0:
+        return None, 0, range(0)
+    B = pr.modulus
+    base = center.P0 + pr.x0
+    u_class = (base + center.Q0 + y0) * ((B + 1) // 2) % B
+    u_max = ntheory.isqrt(9 * N // 8)
+    try:
+        report = fermat.residue_class_fermat(N, u_class, B, u_max)
+    except fermat.Exhausted as exc:
+        d_lo = ntheory.isqrt((N - 1) // 2) + 1  # the least d with 2d^2 >= N
+        d_hi = ntheory.isqrt(2 * N)
+        return None, exc.steps, range(-((base - d_lo) // B), (d_hi - base) // B + 1)
+    d = report.p if 1 < report.p < N else None
+    return d, report.steps, range(0)
+
+
 def _solve_residue(
     N: int, center: FactorCenter, bounds: RootBounds, pr: PartialResidue,
     sweep_limit: int, t0: float,
 ) -> TrialRecord | None:
     """The residue stage: companion residue y0 -> bilinear f -> lattice small
-    roots -> factor recovery, then an x-sweep over x = 0, +1, -1, ... up to
-    |x| <= sweep_limit when no lattice root recovers a factor.
+    roots -> factor recovery, then the difference-of-squares search over the
+    balanced band (_band_search), then an x-sweep over x = 0, +1, -1, ... up
+    to |x| <= sweep_limit that skips the x the band search has covered.
 
-    steps counts the lattice roots tried (COPPERSMITH) or the sweep points
-    tried (X_SWEEP) up to and including the hit.  Returns None when neither
-    finds a factor.
+    steps counts the lattice roots tried (COPPERSMITH), the band's square
+    tests (RESIDUE_FERMAT), or all band tests plus the sweep points tried
+    (X_SWEEP), each up to and including the hit.  The band is bounded by
+    construction (about 0.061*N^(1/3) tests for B near N^(1/6)), and the
+    stage finds a factor whenever some |x| <= sweep_limit or lattice root
+    recovers one.  Returns None when nothing finds a factor.
     """
     y0 = polybuild.solve_companion_residue(N, center, pr)
     f = polybuild.build_polynomial(N, center, pr, y0)
     margin = polybuild.bound_margin(f, bounds)
+
+    def record(d: int, method: Method, steps: int) -> TrialRecord:
+        return _record(N, d, t0, method, steps, pr.modulus, pr.x0, y0, margin)
+
     try:
         roots = lattice.coppersmith_bivariate(f, bounds, recenter_depth=0).roots
     except lattice.LatticeFailure:
         roots = []
-    lattice_xs = [x for x, _y in roots]
-    sweep_xs = (x for k in range(sweep_limit + 1) for x in ((k, -k) if k else (0,)))
-    for method, xs in ((Method.COPPERSMITH, lattice_xs), (Method.X_SWEEP, sweep_xs)):
-        for steps, x in enumerate(xs, start=1):
-            hit = polybuild.recover_factor(N, center, pr, x)
-            if hit is not None:
-                return _record(N, hit, t0, method, steps, pr.modulus, pr.x0, y0, margin)
+    for steps, (x, _y) in enumerate(roots, start=1):
+        hit = polybuild.recover_factor(N, center, pr, x)
+        if hit is not None:
+            return record(hit, Method.COPPERSMITH, steps)
+    hit, tests, band_xs = _band_search(N, center, pr, y0)
+    if hit is not None:
+        return record(hit, Method.RESIDUE_FERMAT, tests)
+    sweep_xs = (
+        x for k in range(sweep_limit + 1) for x in ((k, -k) if k else (0,))
+        if x not in band_xs
+    )
+    for steps, x in enumerate(sweep_xs, start=tests + 1):
+        hit = polybuild.recover_factor(N, center, pr, x)
+        if hit is not None:
+            return record(hit, Method.X_SWEEP, steps)
     return None
 
 
@@ -215,8 +265,11 @@ def run_pipeline(N: int, p_hint: int) -> TrialRecord:
 
     Stages: modulus selection -> residue oracle (p_hint is discarded) ->
     the residue stage (companion residue, bilinear polynomial, bound margin,
-    lattice small roots, factor recovery, and an x-sweep fallback over the
-    whole balanced box, which always terminates on balanced instances).
+    lattice small roots, factor recovery, the difference-of-squares search
+    of the residue class over the balanced band, which always finds a factor
+    of a balanced instance, and an x-sweep over the rest of the box
+    |x| <= N^(1/3)).  Raises PipelineFailure when p lies outside both, which
+    unbalanced instances can do.
     """
     t0 = time.perf_counter()
     if N < 4 or p_hint <= 1 or N % p_hint != 0:
@@ -233,7 +286,10 @@ def run_pipeline(N: int, p_hint: int) -> TrialRecord:
         N, center, bounds, PartialResidue(modulus, x0), bounds.X, t0
     )
     if record is None:
-        raise PipelineFailure(f"lattice and sweep both failed for N={N}")
+        raise PipelineFailure(
+            f"lattice, band search and sweep all failed for N={N}: "
+            "the factor lies outside the balanced band and the sweep box"
+        )
     return record
 
 
@@ -241,9 +297,10 @@ def run_pipeline(N: int, p_hint: int) -> TrialRecord:
 class FactorCaps:
     """Budgets for factor_auto stages: the trial-division limit, the square
     tests of the difference-of-squares search, and the number of moduli and
-    the per-residue sweep range of the residue enumeration.  The lattice pass
-    per residue runs without recentering; the sweep is what guarantees
-    termination."""
+    the per-residue sweep range of the residue enumeration.  Per residue the
+    lattice pass runs without recentering, and the band search is bounded by
+    construction (about 0.061*n^(1/3) square tests); sweep_cap bounds only
+    the x-sweep after it."""
 
     trial_limit: int = 10_000
     fermat_cap: int = fermat.DEFAULT_STEP_CAP

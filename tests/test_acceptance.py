@@ -299,15 +299,20 @@ def test_criterion_8_pipeline_end_to_end():
     assert all(r.success for r in records)
     assert all(r.p * r.q == r.N for r in records)
     methods = {m: sum(1 for r in records if r.method is m) for m in Method}
-    assert all(
-        r.method in (Method.COPPERSMITH, Method.X_SWEEP) for r in records
-    )
+    # balanced instances: the band search finds every factor the lattice
+    # leaves, so no trial reaches the x-sweep
+    assert (
+        methods[Method.COPPERSMITH], methods[Method.RESIDUE_FERMAT],
+        methods[Method.X_SWEEP],
+    ) == (8, 92, 0)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report(
         8,
         "100/100 oracle pipelines succeeded "
-        f"(COPPERSMITH {methods[Method.COPPERSMITH]}, X_SWEEP {methods[Method.X_SWEEP]})",
+        f"(COPPERSMITH {methods[Method.COPPERSMITH]}, "
+        f"RESIDUE_FERMAT {methods[Method.RESIDUE_FERMAT]}, "
+        f"X_SWEEP {methods[Method.X_SWEEP]})",
         elapsed,
     )
 

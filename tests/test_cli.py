@@ -35,8 +35,11 @@ def test_factor_auto_prints_the_record_of_the_split_of_n(capsys):
     auto_rec, pipe_rec = json.loads(auto_lines[1]), json.loads(pipe_lines[1])
     del auto_rec["elapsed_ms"], pipe_rec["elapsed_ms"]
     assert auto_rec == pipe_rec
+    # 209471 > 2 * 104729 puts the split outside the balanced band: the
+    # band's 169 square tests fail, and the first sweep point outside the
+    # band, x = -819, finds it; steps counts both
     assert (auto_rec["method"], auto_rec["B"], auto_rec["x0"], auto_rec["steps"]) == (
-        "X_SWEEP", "53", "23", "1639"
+        "X_SWEEP", "53", "23", "170"
     )
 
 
@@ -159,10 +162,23 @@ def test_experiment_writes_jsonl(tmp_path, capsys):
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
     assert len(lines) == 4
-    for line in lines:
-        rec = json.loads(line)
-        assert rec["success"] is True
-        assert rec["method"] in ("COPPERSMITH", "X_SWEEP")
+    records = [json.loads(line) for line in lines]
+    assert all(rec["success"] is True for rec in records)
+    assert [(rec["method"], rec["steps"]) for rec in records] == [
+        ("RESIDUE_FERMAT", "1"), ("COPPERSMITH", "1"), ("COPPERSMITH", "1"),
+        ("RESIDUE_FERMAT", "5"),
+    ]
+
+
+def test_experiment_pipeline_failure_exit_code(tmp_path, capsys):
+    # the batch holds 40571 = 29 * 1399, whose p lies just outside the box
+    code, out, err = run_cli(
+        capsys, "experiment", "--bits", "16", "--count", "10", "--seed", "0",
+        "--unbalanced", "--out", str(tmp_path / "f.jsonl"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "N=40571" in err and "failed" in err
 
 
 def test_bound_scan_table(capsys):

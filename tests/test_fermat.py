@@ -2,14 +2,18 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlab import ntheory
 from factorlab.fermat import (
     DegenerateDenominator,
     Exhausted,
     FermatReport,
+    _scan_classic,
     compute_initial_u,
     fermat_factor,
+    residue_class_fermat,
     shifted_fermat,
 )
 
@@ -83,6 +87,79 @@ def test_fermat_crosses_vector_window_boundary():
     rep = fermat_factor(N, 1 << 20)
     assert (rep.p, rep.q) == (p, q)
     assert rep.steps == expected_steps(N, p, q)
+
+
+def filtered_unit_scan(N, u0, cap, stride):
+    """Reference for the strided scan: run the stride-1 scan over the same
+    u range, hit by hit, and keep the first hit in u0's class mod stride."""
+    u, end = u0, u0 + stride * cap
+    while u < end:
+        hit = _scan_classic(N, u, end - u)
+        if hit is None:
+            return None
+        u_hit, _steps = hit
+        if (u_hit - u0) % stride == 0:
+            return u_hit, (u_hit - u0) // stride + 1
+        u = u_hit + 1
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 1 << 20),
+    st.integers(0, 1 << 13),
+    st.integers(1, 60),
+    st.integers(0, 200),
+    st.integers(0, 59),
+    st.integers(0, 400),
+)
+def test_strided_scan_is_the_filtered_unit_scan(half_d, g, stride, k, r, cap):
+    # N = d*e with u = (d + e)/2 = d + g; start k class members (or, for
+    # r > 0, off the class) below u, never below ceil(sqrt(N))
+    d = 2 * half_d + 1
+    N, u = d * (d + 2 * g), d + g
+    u0 = max(math.isqrt(N - 1) + 1, u - stride * k - r % stride)
+    assert _scan_classic(N, u0, cap, stride) == filtered_unit_scan(N, u0, cap, stride)
+
+
+def test_strided_scan_crosses_vector_window_boundary():
+    # the class search starts in the int64 window and its hit lies past
+    # 2**31, in the big-int loop
+    m = 1 << 31
+    p = ntheory.next_prime(m - 16_000_000)
+    q = ntheory.next_prime(m + 16_000_000)
+    N, u_hit, stride = p * q, (p + q) // 2, 7
+    u0 = math.isqrt(N - 1) + 1
+    u0 += (u_hit - u0) % stride
+    assert u0 < m < u_hit
+    cap = (u_hit - u0) // stride + 5
+    hit = _scan_classic(N, u0, cap, stride)
+    assert hit == filtered_unit_scan(N, u0, cap, stride)
+    assert hit == (u_hit, (u_hit - u0) // stride + 1)
+    # the test just below the hit exhausts, counting every class member
+    assert _scan_classic(N, u0, hit[1] - 1, stride) is None
+
+
+def test_residue_class_fermat():
+    # 11639 = 103 * 113: u = 108 = 3 (mod 5) is the first class member
+    assert residue_class_fermat(11639, 3, 5, 114) == FermatReport(103, 113, 1, 108)
+    # the class 4 (mod 5) holds u = 109 and 114, neither gives a square
+    with pytest.raises(Exhausted) as err:
+        residue_class_fermat(11639, 4, 5, 114)
+    assert err.value.steps == 2
+    # an empty range makes no test
+    with pytest.raises(Exhausted) as err:
+        residue_class_fermat(11639, 0, 5, 109)
+    assert err.value.steps == 0
+    # 64-bit N: the big-int loop, steps counts class members up to the hit
+    p = ntheory.next_prime((1 << 32) + 7)
+    q = ntheory.next_prime(p + (1 << 20))
+    N, B = p * q, 1009
+    u = (p + q) // 2
+    rep = residue_class_fermat(N, u % B, B, u)
+    u0 = math.isqrt(N - 1) + 1
+    assert (rep.p, rep.q) == (p, q)
+    assert rep.steps == (u - rep.start_u) // B + 1 and rep.start_u - u0 < B
 
 
 def test_twin_prime_products_single_step():

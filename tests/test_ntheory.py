@@ -110,13 +110,36 @@ def test_is_prime_known_strong_pseudoprimes():
         assert not is_prime(n)
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_strong_probable_prime(n, base):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def test_is_prime_pseudoprime_to_all_twelve_bases():
-    # strong pseudoprime to every base 2..37: the Miller-Rabin bases alone
-    # call it prime, the strong Lucas step does not
-    n = 318665857834031151167461
-    assert n == 399165290221 * 798330580441
-    assert not is_prime(n)
-    assert is_prime(next_prime(n))
+    # strong pseudoprimes to every base 2..37: the Miller-Rabin bases alone
+    # call them prime, the strong Lucas step does not.  The second is the
+    # smallest strong pseudoprime to every prime base 2..41 (the bound of
+    # Jiang-Deng 2014), not an Arnault-style construction
+    for n, p, q, bases in (
+        (318665857834031151167461, 399165290221, 798330580441, 12),
+        (3317044064679887385961981, 1287836182261, 2575672364521, 13),
+    ):
+        assert n == p * q
+        assert all(is_strong_probable_prime(n, b) for b in _PRIME_BASES[:bases])
+        assert not is_prime(n)
+        assert is_prime(next_prime(n))
 
 
 def test_strong_lucas_step_on_its_own_pseudoprimes():
