@@ -209,9 +209,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, harness.GenerationExhausted) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except harness.PipelineFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     raise AssertionError("unreachable")
 
 

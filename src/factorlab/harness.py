@@ -31,7 +31,12 @@ class GenerationExhausted(RuntimeError):
 
 class PipelineFailure(RuntimeError):
     """The lattice stage, the band search and the x-sweep all failed: no
-    factor of the residue class lies in the balanced band or in the box."""
+    factor of the residue class lies in the balanced band or in the box.
+    record is the residue stage's failed TrialRecord."""
+
+    def __init__(self, message: str, record: TrialRecord):
+        super().__init__(message)
+        self.record = record
 
 
 class Balance(Enum):
@@ -175,11 +180,12 @@ def gen_semiprime(spec: SemiprimeSpec) -> tuple[int, int, int]:
 def _record(
     N: int, p: int, t0: float, method: Method, steps: int,
     B: int = 0, x0: int = 0, y0: int = 0, margin: float = 0.0,
+    success: bool = True,
 ) -> TrialRecord:
     p, q = sorted((p, N // p))
     return TrialRecord(
         N=N, p=p, q=q, B=B, x0=x0, y0=y0, method=method, steps=steps,
-        margin_bits=margin, success=True,
+        margin_bits=margin, success=success,
         elapsed_ms=(time.perf_counter() - t0) * 1000.0,
     )
 
@@ -218,7 +224,7 @@ def _band_search(
 def _solve_residue(
     N: int, center: FactorCenter, bounds: RootBounds, pr: PartialResidue,
     sweep_limit: int, t0: float,
-) -> TrialRecord | None:
+) -> TrialRecord:
     """The residue stage: companion residue y0 -> bilinear f -> lattice small
     roots -> factor recovery, then the difference-of-squares search over the
     balanced band (_band_search), then an x-sweep over x = 0, +1, -1, ... up
@@ -229,14 +235,20 @@ def _solve_residue(
     (X_SWEEP), each up to and including the hit.  The band is bounded by
     construction (about 0.061*N^(1/3) tests for B near N^(1/6)), and the
     stage finds a factor whenever some |x| <= sweep_limit or lattice root
-    recovers one.  Returns None when nothing finds a factor.
+    recovers one.  When nothing finds a factor the record has success
+    False, the trivial split p = 1, q = N, method X_SWEEP (the last stage
+    run) and steps = band tests plus sweep points tried.
     """
     y0 = polybuild.solve_companion_residue(N, center, pr)
     f = polybuild.build_polynomial(N, center, pr, y0)
     margin = polybuild.bound_margin(f, bounds)
 
-    def record(d: int, method: Method, steps: int) -> TrialRecord:
-        return _record(N, d, t0, method, steps, pr.modulus, pr.x0, y0, margin)
+    def record(
+        d: int, method: Method, steps: int, success: bool = True
+    ) -> TrialRecord:
+        return _record(
+            N, d, t0, method, steps, pr.modulus, pr.x0, y0, margin, success
+        )
 
     try:
         roots = lattice.coppersmith_bivariate(f, bounds, recenter_depth=0).roots
@@ -253,11 +265,12 @@ def _solve_residue(
         x for k in range(sweep_limit + 1) for x in ((k, -k) if k else (0,))
         if x not in band_xs
     )
+    steps = tests
     for steps, x in enumerate(sweep_xs, start=tests + 1):
         hit = polybuild.recover_factor(N, center, pr, x)
         if hit is not None:
             return record(hit, Method.X_SWEEP, steps)
-    return None
+    return record(1, Method.X_SWEEP, steps, success=False)
 
 
 def run_pipeline(N: int, p_hint: int) -> TrialRecord:
@@ -268,8 +281,8 @@ def run_pipeline(N: int, p_hint: int) -> TrialRecord:
     lattice small roots, factor recovery, the difference-of-squares search
     of the residue class over the balanced band, which always finds a factor
     of a balanced instance, and an x-sweep over the rest of the box
-    |x| <= N^(1/3)).  Raises PipelineFailure when p lies outside both, which
-    unbalanced instances can do.
+    |x| <= N^(1/3)).  Raises PipelineFailure, carrying the failed record,
+    when p lies outside both, which unbalanced instances can do.
     """
     t0 = time.perf_counter()
     if N < 4 or p_hint <= 1 or N % p_hint != 0:
@@ -285,10 +298,11 @@ def run_pipeline(N: int, p_hint: int) -> TrialRecord:
     record = _solve_residue(
         N, center, bounds, PartialResidue(modulus, x0), bounds.X, t0
     )
-    if record is None:
+    if not record.success:
         raise PipelineFailure(
             f"lattice, band search and sweep all failed for N={N}: "
-            "the factor lies outside the balanced band and the sweep box"
+            "the factor lies outside the balanced band and the sweep box",
+            record,
         )
     return record
 
@@ -364,7 +378,7 @@ def _enumerate_residues(n: int, caps: FactorCaps) -> TrialRecord | None:
                 record = _solve_residue(
                     n, center, bounds, PartialResidue(modulus, x0), sweep_limit, t0
                 )
-                if record is not None:
+                if record.success:
                     return record
         B = ntheory.next_prime(B + 1)
     return None
@@ -438,8 +452,9 @@ def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
 
 def experiment_run(spec: SemiprimeSpec, count: int) -> list[TrialRecord]:
     """Generate count instances from seeds spec.seed, spec.seed+1, ... and run
-    the pipeline on each.  Records are emitted in trial order; a generator
-    failure skips that trial without aborting the batch."""
+    the pipeline on each.  Records are emitted in trial order; a trial the
+    pipeline cannot factor is recorded with success False, and a generator
+    failure skips that trial, neither aborting the batch."""
     records: list[TrialRecord] = []
     for i in range(count):
         trial_spec = SemiprimeSpec(
@@ -453,7 +468,10 @@ def experiment_run(spec: SemiprimeSpec, count: int) -> list[TrialRecord]:
             N, p, _q = gen_semiprime(trial_spec)
         except GenerationExhausted:
             continue
-        records.append(run_pipeline(N, p))
+        try:
+            records.append(run_pipeline(N, p))
+        except PipelineFailure as exc:
+            records.append(exc.record)
     return records
 
 

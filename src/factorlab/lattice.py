@@ -16,16 +16,17 @@ scratch with rational arithmetic.
 coppersmith_bivariate finds integer roots (x, y) of a bilinear f with
 |x| <= X, |y| <= Y by lattice reduction: rows are the coefficient vectors of
 the shift polynomials x^i y^j f (0 <= i, j <= m) plus modulus-scaled
-monomials, columns scaled by X, Y powers.  Short reduced vectors are read as
-polynomials h with h(root) = 0 modulo the working modulus; an h that is both
-independent of f and short enough vanishes at every in-range root outright.
-One resultant Res_x(f, h) per reduced row then pins the roots down: its
-integer roots (all of them, by Hensel lifting) give every y, and f, linear
-in x, gives x.  When no pass certifies, the solver retries with a larger
-modulus and recenters the search box into quadrants (bounded recursion),
-which buys a few bits of slack per level.  Soundness is unconditional
-(every returned pair is verified by exact evaluation); a certified result's
-root list is complete for the box.
+monomials, columns scaled by X, Y powers and ordered from x^(m+1) y^(m+1)
+down to 1, so the echelon basis is the triangular Coppersmith basis.  Short
+reduced vectors are read as polynomials h with h(root) = 0 modulo the
+working modulus; an h that is both independent of f and short enough
+vanishes at every in-range root outright.  One resultant Res_x(f, h) per
+reduced row then pins the roots down: its integer roots (all of them, by
+Hensel lifting) give every y, and f, linear in x, gives x.  A box whose one
+lattice pass neither certifies nor finds a root is recentered into
+quadrants (bounded recursion), which buys a few bits of slack per level.
+Soundness is unconditional (every returned pair is verified by exact
+evaluation); a certified result's root list is complete for the box.
 """
 
 from __future__ import annotations
@@ -467,18 +468,19 @@ def _is_root_in_box(f: BilinearPoly, x: int, y: int, X: int, Y: int) -> bool:
 
 
 def _lattice_pass(
-    f: BilinearPoly, X: int, Y: int, m: int, n_pow: int, params: ReductionParams
+    f: BilinearPoly, X: int, Y: int, params: ReductionParams
 ) -> tuple[set[tuple[int, int]], bool, bool]:
     """One build-reduce-extract pass.  Returns (roots, saw_independent_h,
     certified)."""
     c3, c2, c1, c0 = f.coefficients()
-    gm = m + 1
-    mons = [(i, j) for i in range(gm + 1) for j in range(gm + 1)]
+    m = params.shift_degree
+    # from the leading monomial down: x^a y^b f pivots on x^(a+1) y^(b+1)
+    mons = [(i, j) for i in range(m + 1, -1, -1) for j in range(m + 1, -1, -1)]
     midx = {mn: t for t, mn in enumerate(mons)}
     D = len(mons)
     scale = [X**i * Y**j for (i, j) in mons]
     W = max(abs(c3) * X * Y, abs(c2) * X, abs(c1) * Y, abs(c0))
-    n_mod = max(W, 2) * (X * Y) ** n_pow
+    n_mod = max(W, 2) * (X * Y) ** m
     gen: IntegerMatrix = []
     for a in range(m + 1):
         for b in range(m + 1):
@@ -491,7 +493,8 @@ def _lattice_pass(
         row = [0] * D
         row[t] = n_mod * scale[t]
         gen.append(row)
-    reduced = lll_reduce(integer_row_basis(gen), params)
+    # last pivot first: each row adds one coordinate, so GS norms start at the pivots
+    reduced = lll_reduce(integer_row_basis(gen)[::-1], params)
     fx = [[c0, c1], [c2, c3]]  # f as a poly in x over Z[y]
     roots: set[tuple[int, int]] = set()
     saw_independent = False
@@ -507,8 +510,8 @@ def _lattice_pass(
         if not exact:
             continue
         hx: list[Poly] = [
-            ptrim([coeffs.get((i, j), 0) for j in range(gm + 1)])
-            for i in range(gm + 1)
+            ptrim([coeffs.get((i, j), 0) for j in range(m + 2)])
+            for i in range(m + 2)
         ]
         res_y = sylvester_resultant(fx, hx)
         if not res_y:
@@ -545,19 +548,14 @@ def _solve_box(
     Y: int,
     params: ReductionParams,
     depth: int,
-    top: bool,
     state: dict,
 ) -> tuple[set[tuple[int, int]], bool]:
     """Returns (verified roots, resolved).  resolved means a certified pass
     covered this whole box (directly or via all sub-boxes)."""
-    m = params.shift_degree
-    for n_pow in (m, m + 1) if top else (m,):
-        roots, indep, certified = _lattice_pass(f, X, Y, m, n_pow, params)
-        state["independent"] = state["independent"] or indep
-        if certified:
-            return roots, True
-        if roots:
-            return roots, False
+    roots, indep, certified = _lattice_pass(f, X, Y, params)
+    state["independent"] = state["independent"] or indep
+    if certified or roots:
+        return roots, certified
     hx = (X + 1) // 2 if X > 1 else X
     hy = (Y + 1) // 2 if Y > 1 else Y
     if depth > 0 and (hx < X or hy < Y):
@@ -568,7 +566,7 @@ def _solve_box(
         for cx in centers_x:
             for cy in centers_y:
                 sub_roots, sub_resolved = _solve_box(
-                    _recentered(f, cx, cy), hx, hy, params, depth - 1, False, state
+                    _recentered(f, cx, cy), hx, hy, params, depth - 1, state
                 )
                 all_resolved = all_resolved and sub_resolved
                 for (x, y) in sub_roots:
@@ -591,16 +589,17 @@ def coppersmith_bivariate(
     Every returned pair satisfies f(x, y) = 0 exactly with |x| <= X and
     |y| <= Y.  When the result is certified the list is complete for the
     box; otherwise completeness follows the bound margin empirically and the
-    return may be partial.  Raises ReducibleInput for reducible f and
-    LatticeFailure when no pass yields roots or a certificate (callers fall
-    back to sweeping).
+    return may be partial.  One pass per box on the triangular basis; a box
+    it leaves unresolved splits into quadrants, recenter_depth levels deep.
+    Raises ReducibleInput for reducible f and LatticeFailure when no pass
+    yields roots or a certificate (callers fall back to sweeping).
     """
     params = params or ReductionParams()
     if is_reducible(f):
         raise ReducibleInput("f must be irreducible (c0*c3 != c1*c2)")
     margin = bound_margin(f, b)
     state = {"independent": False}
-    roots, resolved = _solve_box(f, b.X, b.Y, params, recenter_depth, True, state)
+    roots, resolved = _solve_box(f, b.X, b.Y, params, recenter_depth, state)
     if roots or resolved:
         return CoppersmithResult(sorted(roots), margin, resolved)
     raise LatticeFailure(

@@ -171,14 +171,23 @@ def test_experiment_writes_jsonl(tmp_path, capsys):
 
 
 def test_experiment_pipeline_failure_exit_code(tmp_path, capsys):
-    # the batch holds 40571 = 29 * 1399, whose p lies just outside the box
+    # the batch holds 40571 = 29 * 1399, whose p lies just outside the box:
+    # its failed trial is recorded and the other nine still run
+    out_file = tmp_path / "f.jsonl"
     code, out, err = run_cli(
         capsys, "experiment", "--bits", "16", "--count", "10", "--seed", "0",
-        "--unbalanced", "--out", str(tmp_path / "f.jsonl"),
+        "--unbalanced", "--out", str(out_file),
     )
     assert code == 2
-    assert out == ""
-    assert "N=40571" in err and "failed" in err
+    assert out == f"wrote 10 records to {out_file} (9 successes)\n"
+    assert err == ""
+    records = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert len(records) == 10
+    assert sum(rec["success"] for rec in records) == 9
+    failed = [rec for rec in records if not rec["success"]]
+    assert [(rec["N"], rec["p"], rec["q"], rec["method"]) for rec in failed] == [
+        ("40571", "1", "40571", "X_SWEEP")
+    ]
 
 
 def test_bound_scan_table(capsys):

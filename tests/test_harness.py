@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab import ntheory
+from factorlab import harness, ntheory, polybuild
 from factorlab.harness import (
     Balance,
     FactorCaps,
@@ -262,7 +262,7 @@ def test_experiment_run_unbalanced_instances():
     # sweep reaches these three: p = P0 + B*x + x0 with |x| <= X.  It does not
     # reach every unbalanced instance: the 16-bit seed-0 batch holds
     # 40571 = 29 * 1399, whose p lies just outside the box, and 30-bit seed 6
-    # fails the same way (test_cli covers the exit code)
+    # fails the same way (test_experiment_run_records_a_failed_trial)
     spec = SemiprimeSpec(bits=36, balance=Balance.UNBALANCED, seed=0)
     records = experiment_run(spec, 3)
     assert len(records) == 3
@@ -270,6 +270,36 @@ def test_experiment_run_unbalanced_instances():
         assert rec.success
         assert rec.p * rec.q == rec.N
         assert rec.method is Method.X_SWEEP
+
+
+def test_experiment_run_records_a_failed_trial():
+    # 40571 = 29 * 1399: p lies outside the band and the box, so the batch
+    # records the trivial split with the stage's real B, x0, y0 and margin
+    # and goes on with the other nine trials
+    records = experiment_run(SemiprimeSpec(bits=16, balance=Balance.UNBALANCED), 10)
+    assert len(records) == 10
+    assert [r.N for r in records if not r.success] == [40571]
+    assert all(r.p * r.q == r.N and 1 < r.p for r in records if r.success)
+    rec = records[1]
+    assert (rec.p, rec.q, rec.method) == (1, 40571, Method.X_SWEEP)
+    center = FactorCenter.balanced(rec.N)
+    bounds = RootBounds.balanced(rec.N)
+    pr = PartialResidue(ntheory.PrimeModulus(rec.B), rec.x0)
+    assert (rec.B, rec.x0) == (5, 3)
+    assert rec.y0 == polybuild.solve_companion_residue(rec.N, center, pr)
+    f = polybuild.build_polynomial(rec.N, center, pr, rec.y0)
+    assert rec.margin_bits == polybuild.bound_margin(f, bounds)
+    # steps: every band test plus every sweep point outside the band
+    _, tests, band_xs = harness._band_search(rec.N, center, pr, rec.y0)
+    sweep = [x for x in range(-bounds.X, bounds.X + 1) if x not in band_xs]
+    assert rec.steps == tests + len(sweep) == 42
+    with pytest.raises(PipelineFailure) as info:
+        run_pipeline(rec.N, 29)
+    failed = info.value.record
+    assert (failed.p, failed.q, failed.B, failed.x0, failed.y0, failed.steps) == (
+        rec.p, rec.q, rec.B, rec.x0, rec.y0, rec.steps
+    )
+    assert not failed.success
 
 
 def test_bound_scan_rows():

@@ -358,3 +358,82 @@ def test_coppersmith_matches_exhaustive_at_margin_two(seed):
     res = coppersmith_bivariate(f, bounds)
     assert res.roots == exhaustive_roots(f, bounds)
     assert (x1, y1) in res.roots
+
+
+def _pipeline_poly(bits, seed):
+    N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=seed))
+    B, x0 = select_modulus(N, p)
+    center = FactorCenter.balanced(N)
+    pr = PartialResidue(B, x0)
+    f = build_polynomial(N, center, pr, solve_companion_residue(N, center, pr))
+    return f, RootBounds.balanced(N)
+
+
+def _solver_poly(seed):
+    rng = random.Random(seed)
+    while True:
+        f, x1, y1 = planted_instance(rng, rng.randrange(20, 23))
+        side = max(abs(x1), abs(y1), 1)
+        bounds = RootBounds(side, side)
+        if bound_margin(f, bounds) >= 2.0:
+            return f, bounds
+
+
+@pytest.mark.parametrize("depth, passes", [(0, 1), (1, 5)])
+def test_one_lattice_pass_per_box(monkeypatch, depth, passes):
+    # a failing box costs one pass, and each of its four quadrants one more
+    calls = []
+    real = lattice.lll_reduce
+
+    def spy(basis, params=None):
+        calls.append(len(basis))
+        return real(basis, params)
+
+    monkeypatch.setattr(lattice, "lll_reduce", spy)
+    f, bounds = _pipeline_poly(40, 0)
+    with pytest.raises(LatticeFailure):
+        coppersmith_bivariate(f, bounds, recenter_depth=depth)
+    assert len(calls) == passes
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _pipeline_poly(40, 1),
+        lambda: _pipeline_poly(56, 2),
+        lambda: _solver_poly(3),
+    ],
+    ids=["pipeline-40", "pipeline-56", "solver"],
+)
+def test_lattice_pass_basis_is_triangular_and_spans_the_old_lattice(monkeypatch, make):
+    generators, bases, outputs = [], [], []
+    real_basis, real_lll = lattice.integer_row_basis, lattice.lll_reduce
+
+    def basis_spy(rows):
+        generators.append([row[:] for row in rows])
+        return real_basis(rows)
+
+    def lll_spy(basis, params=None):
+        bases.append([row[:] for row in basis])
+        outputs.append(real_lll(basis, params))
+        return outputs[-1]
+
+    monkeypatch.setattr(lattice, "integer_row_basis", basis_spy)
+    monkeypatch.setattr(lattice, "lll_reduce", lll_spy)
+    f, bounds = make()
+    try:
+        coppersmith_bivariate(f, bounds, recenter_depth=0)
+    except LatticeFailure:
+        pass
+    assert len(bases) == 1
+    basis, reduced = bases[0], outputs[0]
+    # square, and row k adds coordinate D-1-k to the rows before it
+    D = len(basis)
+    assert all(len(row) == D for row in basis)
+    for k, row in enumerate(basis):
+        assert not any(row[: D - 1 - k]) and row[D - 1 - k] != 0
+    # the monomials ascending, as the echelon was built before, are the
+    # descending columns reversed: that echelon, its columns put back in
+    # the descending order, spans the lattice LLL reduced
+    old = integer_row_basis([row[::-1] for row in generators[0]])
+    assert check_reduction([row[::-1] for row in old], reduced) == []
