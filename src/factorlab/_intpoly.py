@@ -1,10 +1,11 @@
 """Exact univariate integer-polynomial arithmetic used by the lattice solver.
 
 Polynomials are lists of coefficients in ascending order ([] is the zero
-polynomial).  Resultants of bivariate polynomials are computed by building
-the Sylvester matrix in one variable (entries are polynomials in the other)
-and running fraction-free Bareiss elimination, whose interior divisions are
-exact over any integral domain.
+polynomial).  The solver's resultants are taken against f = A*x + C, linear
+in x, so Res_x(f, h) = A**deg(h) * h(-C/A) is evaluated in closed form, by
+Horner in Z[y], with no Sylvester matrix.  bareiss_det is the fraction-free
+determinant of a matrix of polynomials, whose interior divisions are exact
+over any integral domain.
 """
 
 from __future__ import annotations
@@ -105,44 +106,30 @@ def bareiss_det(m: list[list[Poly]]) -> Poly:
 
 
 def sylvester_resultant(fx: list[Poly], hx: list[Poly]) -> Poly:
-    """Resultant w.r.t. the outer variable of two bivariate polynomials.
+    """Resultant w.r.t. the outer variable x of f = A*x + C and any h.
 
-    Inputs are lists of inner-variable polynomials, ascending in the outer
-    variable.  Returns a polynomial in the inner variable; [] means the
-    resultant is identically zero (the inputs share a factor).
+    Inputs are lists of inner-variable polynomials, ascending in x; f must
+    have degree 1 in x.  Returns the determinant of the Sylvester matrix of
+    f and h, sign included, as a polynomial in the inner variable y, in
+    closed form: with d = deg_x h,
+        Res_x(f, h) = A**d * h(-C/A) = sum_i h_i * (-C)**i * A**(d - i),
+    evaluated by Horner in Z[y].  [] means the resultant is identically zero
+    (f divides h, or h = 0).
     """
-    fx = [list(c) for c in fx]
-    hx = [list(c) for c in hx]
-    while fx and not fx[-1]:
-        fx.pop()
-    while hx and not hx[-1]:
+    if len(fx) != 2 or not any(fx[1]):
+        raise ValueError("f must have degree 1 in the outer variable")
+    hx = list(hx)
+    while hx and not any(hx[-1]):
         hx.pop()
-    if not fx or not hx:
+    if not hx:
         return []
-    dm, dn = len(fx) - 1, len(hx) - 1
-    if dm == 0:
-        out: Poly = [1]
-        for _ in range(dn):
-            out = pmul(out, fx[0])
-        return out
-    if dn == 0:
-        out = [1]
-        for _ in range(dm):
-            out = pmul(out, hx[0])
-        return out
-    size = dm + dn
-    rows: list[list[Poly]] = []
-    for i in range(dn):
-        row: list[Poly] = [[] for _ in range(size)]
-        for j, c in enumerate(fx):
-            row[i + dm - j] = list(c)
-        rows.append(row)
-    for i in range(dm):
-        row = [[] for _ in range(size)]
-        for j, c in enumerate(hx):
-            row[i + dn - j] = list(c)
-        rows.append(row)
-    return bareiss_det(rows)
+    neg_c, a = pneg(fx[0]), fx[1]
+    d = len(hx) - 1
+    out, a_pow = ptrim(list(hx[d])), [1]
+    for i in range(d - 1, -1, -1):
+        a_pow = pmul(a_pow, a)
+        out = padd(pmul(out, neg_c), pmul(hx[i], a_pow))
+    return out
 
 
 def _deriv(p: Poly) -> Poly:

@@ -70,7 +70,10 @@ def _build_parser() -> _Parser:
     p_lll.add_argument("--seed", type=int, required=True)
     p_lll.add_argument("--trials", type=int, required=True)
     p_lll.add_argument(
-        "--entry-bits", type=int, default=40, help="max entry size, bits"
+        "--entry-bits",
+        type=int,
+        default=40,
+        help="max size of uniform entries and knapsack weights a_i, bits",
     )
     return parser
 
@@ -178,17 +181,27 @@ def _cmd_lll_check(args) -> int:
     bound = 1 << args.entry_bits
     bad = 0
     for trial in range(args.trials):
-        basis = [
-            [rng.randrange(-bound, bound) for _ in range(args.dim)]
-            for _ in range(args.dim)
-        ]
+        if trial % 2 == 0:
+            shape = "uniform"
+            basis = [
+                [rng.randrange(-bound, bound) for _ in range(args.dim)]
+                for _ in range(args.dim)
+            ]
+        else:
+            # [I | 2^20 * a_i]: far from reduced as drawn, so LLL must swap
+            shape = "knapsack"
+            basis = [
+                [int(i == j) for j in range(args.dim)]
+                + [(1 << 20) * rng.getrandbits(args.entry_bits)]
+                for i in range(args.dim)
+            ]
         try:
             reduced = lattice.lll_reduce(basis)
         except lattice.DependentRows:
             continue
         problems = lattice.check_reduction(basis, reduced)
         status = "ok" if not problems else "FAIL " + "; ".join(problems)
-        print(f'{{"trial": {trial}, "status": "{status}"}}')
+        print(f'{{"trial": {trial}, "shape": "{shape}", "status": "{status}"}}')
         bad += bool(problems)
     return 0 if bad == 0 else 2
 

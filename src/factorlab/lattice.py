@@ -1,17 +1,21 @@
 """Exact lattice reduction and a bivariate small-root solver.
 
-lll_reduce runs in two stages.  A floating-point pass in the style of
-Schnorr-Euchner and Nguyen-Stehle's L2 takes its size-reduction and swap
-decisions from a double-precision Cholesky factorisation of the Gram matrix,
-while the basis and the Gram matrix themselves stay exact integers; every
-row operation is unimodular, so whatever the doubles decide, the pass
-returns a basis of the same lattice.  The all-integer LLL (Gram
-determinants d_i and scaled Gram-Schmidt coefficients lambda_ij stay
-integral throughout) then runs on that basis: it either confirms the float
-output untouched or finishes the reduction, so size reduction and the
-Lovasz condition of the result hold exactly, not up to rounding.
-check_reduction re-derives every claimed property of a reduced basis from
-scratch with rational arithmetic.
+lll_reduce ends in the all-integer LLL (Gram determinants d_i and scaled
+Gram-Schmidt coefficients lambda_ij stay integral throughout), so size
+reduction and the Lovasz condition of the result hold exactly, not up to
+rounding.  Whether a floating-point pass runs first depends on the input.
+A triangular basis (each row adds one new nonzero coordinate, the shape the
+solver builds) has its Gram determinant d_n, the bound on the exact loop's
+integers, known up front as the product of its squared pivots; below
+2**_EXACT_ONLY_GRAM_BITS the exact loop runs alone.  Every other basis first
+goes through a pass in the style of Schnorr-Euchner and Nguyen-Stehle's L2,
+which takes its size-reduction and swap decisions from a double-precision
+Cholesky factorisation of the Gram matrix while the basis and the Gram
+matrix themselves stay exact integers; every row operation is unimodular,
+so whatever the doubles decide, the pass returns a basis of the same
+lattice, and the exact loop either confirms it untouched or finishes the
+reduction.  check_reduction re-derives every claimed property of a reduced
+basis from scratch with rational arithmetic.
 
 coppersmith_bivariate finds integer roots (x, y) of a bilinear f with
 |x| <= X, |y| <= Y by lattice reduction: rows are the coefficient vectors of
@@ -21,10 +25,11 @@ down to 1, so the echelon basis is the triangular Coppersmith basis.  Short
 reduced vectors are read as polynomials h with h(root) = 0 modulo the
 working modulus; an h that is both independent of f and short enough
 vanishes at every in-range root outright.  One resultant Res_x(f, h) per
-reduced row then pins the roots down: its integer roots (all of them, by
-Hensel lifting) give every y, and f, linear in x, gives x.  A box whose one
-lattice pass neither certifies nor finds a root is recentered into
-quadrants (bounded recursion), which buys a few bits of slack per level.
+reduced row (in closed form, f being linear in x) then pins the roots
+down: its integer roots (all of them, by Hensel lifting) give every y, and
+f gives x.  A box whose one lattice pass neither certifies nor finds a root
+is recentered into quadrants (bounded recursion), which buys a few bits of
+slack per level.
 Soundness is unconditional (every returned pair is verified by exact
 evaluation); a certified result's root list is complete for the box.
 """
@@ -206,14 +211,61 @@ def _float_pass(b: IntegerMatrix, delta: float) -> IntegerMatrix:
     return b
 
 
+# A triangular basis whose Gram determinant d_n has at most this many bits
+# goes to the exact loop alone: the loop's integers d_k are bounded by d_n,
+# and below this size the float pass costs more than it saves.  Exact-only
+# time / float-pass-plus-exact time per call on lattices captured from the
+# solver and the pipeline (median of 5 repeats, 2-core x86-64, CPython 3.11):
+#   family                  dim  d_n bits     ratio
+#   solver, 20-22-bit N      16    436-1138    0.68
+#   pipeline, 24-bit N       16  1576-1621     0.78
+#   pipeline, 32-bit N       16  2108-2160     0.89
+#   pipeline, 40-bit N       16  2655-2700     0.99
+#   pipeline, 48-bit N       16  3190-3242     1.07
+#   pipeline, 56-bit N       16  3732-3783     1.20
+#   pipeline, 64-bit N       16  4273-4324     1.25
+#   shift_degree=3, 18-bit   25  2154-2243     0.82
+#   shift_degree=3, 24-bit   25  2930-3017     0.95
+#   shift_degree=3, 28-bit   25  3419-3529     1.02
+#   shift_degree=3, 40-bit   25  4941-5027     1.22
+# Both dimensions cross between 2700 and 3400 bits.  Non-triangular bases
+# always take the float pass first, since no cheap bound on d_n sorts them:
+# it wins on uniform ones even when small (exact-only 1.30x slower on 16x16
+# 60-bit, 1.72x on 8x8 200-bit) and on knapsack [I | 2**20 * a_i] with
+# 600-bit a_i (1.34-1.41x), and loses on knapsack with a_i of at most 400
+# bits (0.51-0.94x).
+_EXACT_ONLY_GRAM_BITS = 3000
+
+
+def _triangular_gram_det(b: IntegerMatrix) -> int | None:
+    """The Gram determinant of b if b is triangular, else None.
+
+    Triangular means each row adds exactly one new nonzero coordinate to the
+    rows before it.  The first k rows then span the coordinate subspace of
+    their k pivots, so ||b*_k|| is |k-th pivot| and d_n the product of the
+    squared pivots.
+    """
+    seen: set[int] = set()
+    det = 1
+    for row in b:
+        new = [t for t, v in enumerate(row) if v and t not in seen]
+        if len(new) != 1:
+            return None
+        seen.add(new[0])
+        det *= row[new[0]] ** 2
+    return det
+
+
 def lll_reduce(
     basis: IntegerMatrix, params: ReductionParams | None = None
 ) -> IntegerMatrix:
     """LLL-reduce a basis of row vectors.
 
-    A floating-point pass (_float_pass) does the bulk of the reduction with
-    exact row operations; the all-integer LLL below then runs on its output
-    and either leaves it as it is or finishes the reduction.  The returned
+    A triangular basis whose Gram determinant has at most
+    _EXACT_ONLY_GRAM_BITS bits goes straight to the all-integer LLL below.
+    Any other basis first passes through _float_pass, which does the bulk of
+    the reduction with exact row operations; the exact loop then either
+    leaves its output as it is or finishes the reduction.  The returned
     basis therefore always comes out of the exact loop: it spans the same
     lattice (unimodular row transform), is size-reduced (|mu_ij| <= 1/2) and
     satisfies the Lovasz condition with the given delta, exactly.  Raises
@@ -221,7 +273,10 @@ def lll_reduce(
     """
     params = params or ReductionParams()
     _validate_matrix(basis)
-    b = _float_pass([[int(x) for x in row] for row in basis], float(params.delta))
+    b = [[int(x) for x in row] for row in basis]
+    det = _triangular_gram_det(b)
+    if det is None or det.bit_length() > _EXACT_ONLY_GRAM_BITS:
+        b = _float_pass(b, float(params.delta))
     n = len(b)
     dn, dd = params.delta.numerator, params.delta.denominator
     d = [0] * (n + 1)  # d[k] = Gram determinant of the first k rows

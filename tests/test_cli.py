@@ -209,6 +209,8 @@ def test_lll_check_runs_clean(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert all(r["status"] == "ok" for r in rows)
+    # uniform bases come nearly reduced; knapsack ones make LLL swap
+    assert [r["shape"] for r in rows] == ["uniform", "knapsack"] * 2 + ["uniform"]
 
 
 def test_lll_check_entries_beyond_double_range(capsys):
@@ -220,6 +222,7 @@ def test_lll_check_entries_beyond_double_range(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert [r["shape"] for r in rows] == ["uniform", "knapsack"]
 
 
 def test_lll_check_dim_validation(capsys):

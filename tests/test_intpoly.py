@@ -12,6 +12,7 @@ from factorlab._intpoly import (
     pdivexact,
     peval,
     pmul,
+    ptrim,
     sylvester_resultant,
 )
 from factorlab.ntheory import sieve_primes
@@ -69,6 +70,49 @@ def test_resultant_vanishes_at_common_root():
     res = sylvester_resultant(f, h)  # polynomial in y
     assert res != []
     assert peval(res, -2) == 0
+
+
+def _sylvester_matrix(fx, hx):
+    """The Sylvester matrix of two polynomials in x over Z[y], given with
+    ascending x-coefficients: deg h shifted rows of f, then deg f of h."""
+    dm, dn = len(fx) - 1, len(hx) - 1
+    size = dm + dn
+    rows = []
+    for p, d, shifts in ((fx, dm, dn), (hx, dn, dm)):
+        for i in range(shifts):
+            rows.append([p[d - (c - i)] if 0 <= c - i <= d else [] for c in range(size)])
+    return rows
+
+
+_YPOLY = st.lists(st.integers(-60, 60), max_size=4).map(ptrim)  # degree <= 3 in y
+_NONZERO_YPOLY = _YPOLY.filter(bool)
+
+
+@settings(deadline=None, max_examples=300)
+@given(a=_NONZERO_YPOLY, c=_YPOLY, h=st.lists(_YPOLY, max_size=4), lead=_NONZERO_YPOLY)
+def test_resultant_against_linear_f_matches_bareiss(a, c, h, lead):
+    # f = a*x + c takes the closed form; Bareiss on the Sylvester matrix,
+    # built here, stays the reference, signs included
+    fx, hx = [c, a], h + [lead]
+    assert sylvester_resultant(fx, hx) == bareiss_det(_sylvester_matrix(fx, hx))
+
+
+@settings(deadline=None, max_examples=200)
+@given(a=_NONZERO_YPOLY, c=_YPOLY, g=st.lists(_YPOLY, min_size=1, max_size=4))
+def test_resultant_against_linear_f_vanishes_on_its_multiples(a, c, g):
+    # h = g*f has x-degree up to 4 and shares the factor f
+    hx = [[] for _ in range(len(g) + 1)]
+    for i, gi in enumerate(g):
+        hx[i] = padd(hx[i], pmul(gi, c))
+        hx[i + 1] = padd(hx[i + 1], pmul(gi, a))
+    assert sylvester_resultant([c, a], hx) == []
+
+
+def test_resultant_requires_f_linear_in_x():
+    h = [[1], [2]]
+    for fx in ([[1, 2]], [[1], []], [[1], [2], [3]]):
+        with pytest.raises(ValueError):
+            sylvester_resultant(fx, h)
 
 
 def test_integer_roots_scan():

@@ -437,3 +437,66 @@ def test_lattice_pass_basis_is_triangular_and_spans_the_old_lattice(monkeypatch,
     # the descending order, spans the lattice LLL reduced
     old = integer_row_basis([row[::-1] for row in generators[0]])
     assert check_reduction([row[::-1] for row in old], reduced) == []
+
+
+def _is_triangular(basis):
+    """Each row adds exactly one new nonzero coordinate to the rows before it."""
+    seen = set()
+    for row in basis:
+        new = {t for t, v in enumerate(row) if v} - seen
+        if len(new) != 1:
+            return False
+        seen |= new
+    return True
+
+
+def test_lll_first_stage_follows_the_input(monkeypatch):
+    # the float pass runs on every non-triangular basis and on triangular
+    # ones whose Gram determinant reaches 2**_EXACT_ONLY_GRAM_BITS; the
+    # exact loop alone reduces the rest
+    cases = []
+    real_lll = lattice.lll_reduce
+
+    def lll_spy(basis, params=None):
+        cases.append(([row[:] for row in basis], params))
+        return real_lll(basis, params)
+
+    monkeypatch.setattr(lattice, "lll_reduce", lll_spy)
+    for bits in (24, 40, 56):
+        N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=0))
+        harness.run_pipeline(N, p)
+    for seed in (3, 4):
+        f, bounds = _solver_poly(seed)
+        coppersmith_bivariate(f, bounds)
+    f, bounds = _pipeline_poly(18, 0)
+    with pytest.raises(LatticeFailure):
+        coppersmith_bivariate(f, bounds, ReductionParams(shift_degree=3), recenter_depth=0)
+    monkeypatch.setattr(lattice, "lll_reduce", real_lll)
+    assert len(cases[-1][0]) == 25
+    rng = random.Random(77)
+    for dim in (6, 10):
+        cases.append(([[rng.randrange(-(1 << 60), 1 << 60) for _ in range(dim)]
+                       for _ in range(dim)], None))
+        cases.append(([[int(i == j) for j in range(dim)] + [(1 << 20) * rng.getrandbits(200)]
+                       for i in range(dim)], None))
+
+    float_calls = []
+    real_float = lattice._float_pass
+
+    def float_spy(b, delta):
+        float_calls.append(len(b))
+        return real_float(b, delta)
+
+    monkeypatch.setattr(lattice, "_float_pass", float_spy)
+    kinds = set()
+    for basis, params in cases:
+        triangular = _is_triangular(basis)
+        expect = not triangular or gram_det(basis) >= 1 << lattice._EXACT_ONLY_GRAM_BITS
+        before = len(float_calls)
+        reduced = lll_reduce(basis, params)
+        assert (len(float_calls) > before) == expect
+        assert check_reduction(basis, reduced, params) == []
+        kinds.add((triangular, expect))
+    # exact alone (24, 40 bits, solver, 25-dim), float first (56 bits),
+    # and non-triangular (uniform and knapsack) all occur
+    assert kinds == {(True, False), (True, True), (False, True)}
