@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import fermat, harness, lattice, ntheory
-from .harness import Balance, FactorCaps, Method, SemiprimeSpec, TrialRecord
+from .harness import Balance, Method, SemiprimeSpec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,16 +78,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _record_for_split(
-    N: int, p: int, method: Method, steps: int, elapsed_ms: float
-) -> TrialRecord:
-    q = N // p
-    return TrialRecord(
-        N=N, p=min(p, q), q=max(p, q), B=0, x0=0, y0=0, method=method,
-        steps=steps, margin_bits=0.0, success=True, elapsed_ms=elapsed_ms,
-    )
-
-
 def _cmd_factor(args) -> int:
     N = args.N
     if N < 2:
@@ -103,9 +93,8 @@ def _cmd_factor(args) -> int:
         except fermat.Exhausted:
             print(f"exhausted after {args.cap} square tests")
             return 2
-        ms = (time.perf_counter() - t0) * 1000.0
         print(f"{N} = {rep.p} * {rep.q}")
-        print(_record_for_split(N, rep.p, Method.FERMAT, rep.steps, ms).to_json())
+        print(harness._record(N, rep.p, t0, Method.FERMAT, rep.steps).to_json())
         return 0
     if args.method == "shifted":
         try:
@@ -116,17 +105,15 @@ def _cmd_factor(args) -> int:
         except (ValueError, fermat.DegenerateDenominator) as exc:
             print(str(exc), file=sys.stderr)
             return 1
-        ms = (time.perf_counter() - t0) * 1000.0
         print(f"{N} = {rep.p} * {rep.q}")
-        print(
-            _record_for_split(N, rep.p, Method.SHIFTED_FERMAT, rep.steps, ms).to_json()
-        )
+        record = harness._record(N, rep.p, t0, Method.SHIFTED_FERMAT, rep.steps)
+        print(record.to_json())
         return 0
     if args.method == "pipeline":
         if ntheory.is_prime(N):
             print(f"{N} is prime")
             return 0
-        record = harness._enumerate_residues(N, FactorCaps())
+        record = harness.enumerate_residues(N)
         if record is None:
             print("pipeline exhausted")
             return 2
@@ -134,7 +121,7 @@ def _cmd_factor(args) -> int:
         print(record.to_json())
         return 0
     # auto
-    result = harness.factor_auto(N, FactorCaps(fermat_cap=args.cap))
+    result = harness.factor_auto(N, fermat_cap=args.cap)
     factors = " * ".join(str(f) for f in result.factors)
     if not result.complete:
         print(f"{N} = {factors} * [{result.cofactor}]  (incomplete)")

@@ -8,6 +8,7 @@ can be compared against the predicted cycle counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,7 +110,8 @@ def _scan_classic(
 
 def fermat_factor(N: int, step_cap: int = DEFAULT_STEP_CAP) -> FermatReport:
     """Classic ascending search: u = ceil(sqrt(N)), u+1, ... until u*u - N is
-    a perfect square v*v; then N = (u-v)(u+v).
+    a perfect square v*v; then N = (u-v)(u+v): the class search with
+    modulus 1.
 
     N must be odd and >= 3 (strip factors of 2 first).  steps counts square
     tests, so the first probe is step 1.  Raises Exhausted after step_cap
@@ -120,12 +122,7 @@ def fermat_factor(N: int, step_cap: int = DEFAULT_STEP_CAP) -> FermatReport:
     if step_cap < 1:
         raise ValueError("step_cap must be positive")
     u0 = math.isqrt(N - 1) + 1  # ceil(sqrt(N)); isqrt(N)^2 - N < 0 is never a square
-    hit = _scan_classic(N, u0, step_cap)
-    if hit is None:
-        raise Exhausted(f"no square within {step_cap} tests for N={N}", step_cap)
-    u, steps = hit
-    v = math.isqrt(u * u - N)
-    return FermatReport(p=u - v, q=u + v, steps=steps, start_u=u0)
+    return residue_class_fermat(N, 0, 1, u0 + step_cap - 1)
 
 
 def residue_class_fermat(
@@ -189,47 +186,30 @@ def _round_nearest(value: Fraction) -> int:
 
 def shifted_fermat(N: int, x: int, step_cap: int = DEFAULT_STEP_CAP) -> FermatReport:
     """Search for U with U*U - 4N square, starting from the shifted center
-    estimate compute_initial_u(N, x) and probing U0, U0+1, U0-1, U0+2, ...
+    estimate and probing U0, U0+2, U0-2, U0+4, ...
 
-    Candidates with odd U or U*U < 4N are skipped without a square test;
-    steps counts tests actually performed.
+    U0 = max(compute_initial_u(N, x), u_min), with u_min the least even U
+    with U*U >= 4N; both are even, as p + q is for odd p, q.  Candidates
+    below u_min are skipped without a square test; steps counts tests
+    actually performed.
     """
     if N < 16 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 16")
     if step_cap < 1:
         raise ValueError("step_cap must be positive")
-    u0 = compute_initial_u(N, x)
     four_n = 4 * N
-    # smallest even U with U*U >= 4N
     u_min = math.isqrt(four_n - 1) + 1
     u_min += u_min % 2
+    start_u = max(compute_initial_u(N, x), u_min)
 
     def candidates():
-        if u0 < u_min:  # one-sided: everything below u_min is infeasible
-            U = u_min
-            while True:
-                yield U
-                U += 2
-        else:
-            # expanding alternation u0, u0+1, u0-1, ... restricted to even U
-            up = u0 if u0 % 2 == 0 else u0 + 1
-            down = u0 - 2 if u0 % 2 == 0 else u0 - 1
-            if u0 % 2 == 0:
-                yield u0
-                up = u0 + 2
-            while True:
-                yield up
-                up += 2
-                if down >= u_min:
-                    yield down
-                    down -= 2
+        yield start_u
+        for k in itertools.count(2, 2):
+            yield start_u + k
+            if start_u - k >= u_min:
+                yield start_u - k
 
-    steps = 0
-    start_u = None
-    for U in candidates():
-        if start_u is None:
-            start_u = U
-        steps += 1
+    for steps, U in enumerate(candidates(), start=1):
         t = U * U - four_n
         s = math.isqrt(t)
         if s * s == t:

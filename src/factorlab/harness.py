@@ -13,13 +13,13 @@ every run is bit-for-bit reproducible except for elapsed_ms fields.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from fractions import Fraction
 
 from . import fermat, lattice, ntheory, polybuild
 from .polybuild import FactorCenter, PartialResidue, RootBounds
@@ -40,8 +40,8 @@ class PipelineFailure(RuntimeError):
 
 
 class Balance(Enum):
-    BALANCED = "balanced"  # p < q < beta*p
-    UNBALANCED = "unbalanced"  # (alpha*N)^(1/3) < p < N^(1/3)
+    BALANCED = "balanced"  # p < q < 2p
+    UNBALANCED = "unbalanced"  # N/2 < p^3 <= N
 
 
 class Method(str, Enum):
@@ -61,14 +61,10 @@ class SemiprimeSpec:
     bits: int
     balance: Balance = Balance.BALANCED
     seed: int = 0
-    alpha: Fraction = Fraction(1, 2)
-    beta: Fraction = Fraction(2, 1)
 
     def __post_init__(self) -> None:
         if self.bits < 16:
             raise ValueError("bits must be >= 16")
-        if not 0 < self.alpha < 1 < self.beta:
-            raise ValueError("need 0 < alpha < 1 < beta")
 
 
 @dataclass
@@ -135,8 +131,8 @@ def gen_semiprime(spec: SemiprimeSpec) -> tuple[int, int, int]:
     """Deterministic (N, p, q) with N.bit_length() == spec.bits, p < q primes,
     and the declared balance-class predicate holding exactly.
 
-    BALANCED: p < q < beta*p.  UNBALANCED: alpha*N < p**3 <= N (p near the
-    cube root, q near the two-thirds power).  Raises GenerationExhausted
+    BALANCED: p < q < 2p.  UNBALANCED: N/2 < p**3 <= N (p near the cube
+    root, q near the two-thirds power).  Raises GenerationExhausted
     after a fixed retry cap.
     """
     rng = _rng_for(spec.seed, 0xBA1A)
@@ -153,8 +149,7 @@ def gen_semiprime(spec: SemiprimeSpec) -> tuple[int, int, int]:
         lo_q = max(p + 1, -(-lo_n // p))
         hi_q = hi_n // p
         if spec.balance is Balance.BALANCED:
-            # q < beta*p, exactly: q*beta.den < p*beta.num
-            hi_q = min(hi_q, (p * spec.beta.numerator - 1) // spec.beta.denominator)
+            hi_q = min(hi_q, 2 * p - 1)
         if lo_q > hi_q:
             continue
         q = ntheory.next_prime(rng.randrange(lo_q, hi_q + 1))
@@ -164,15 +159,10 @@ def gen_semiprime(spec: SemiprimeSpec) -> tuple[int, int, int]:
         if N.bit_length() != spec.bits:
             continue
         if spec.balance is Balance.BALANCED:
-            if not q * spec.beta.denominator < p * spec.beta.numerator:
+            if not q < 2 * p:
                 continue
-        else:
-            # (alpha*N)^(1/3) < p < N^(1/3), exactly via cubes
-            if not (
-                p**3 * spec.alpha.denominator > N * spec.alpha.numerator
-                and p**3 <= N
-            ):
-                continue
+        elif not 2 * p**3 > N >= p**3:
+            continue
         return N, p, q
     raise GenerationExhausted(f"no {spec.balance.value} semiprime after cap: {spec}")
 
@@ -223,18 +213,18 @@ def _band_search(
 
 def _solve_residue(
     N: int, center: FactorCenter, bounds: RootBounds, pr: PartialResidue,
-    sweep_limit: int, t0: float,
+    t0: float,
 ) -> TrialRecord:
     """The residue stage: companion residue y0 -> bilinear f -> lattice small
     roots -> factor recovery, then the difference-of-squares search over the
     balanced band (_band_search), then an x-sweep over x = 0, +1, -1, ... up
-    to |x| <= sweep_limit that skips the x the band search has covered.
+    to |x| <= bounds.X that skips the x the band search has covered.
 
     steps counts the lattice roots tried (COPPERSMITH), the band's square
     tests (RESIDUE_FERMAT), or all band tests plus the sweep points tried
     (X_SWEEP), each up to and including the hit.  The band is bounded by
     construction (about 0.061*N^(1/3) tests for B near N^(1/6)), and the
-    stage finds a factor whenever some |x| <= sweep_limit or lattice root
+    stage finds a factor whenever some |x| <= bounds.X or lattice root
     recovers one.  When nothing finds a factor the record has success
     False, the trivial split p = 1, q = N, method X_SWEEP (the last stage
     run) and steps = band tests plus sweep points tried.
@@ -262,7 +252,7 @@ def _solve_residue(
     if hit is not None:
         return record(hit, Method.RESIDUE_FERMAT, tests)
     sweep_xs = (
-        x for k in range(sweep_limit + 1) for x in ((k, -k) if k else (0,))
+        x for k in range(bounds.X + 1) for x in ((k, -k) if k else (0,))
         if x not in band_xs
     )
     steps = tests
@@ -295,9 +285,7 @@ def run_pipeline(N: int, p_hint: int) -> TrialRecord:
     modulus, x0 = ntheory.select_modulus(N, p_hint)
     del p_hint  # the remaining stages operate on (N, B, x0) only
     bounds = RootBounds.balanced(N)
-    record = _solve_residue(
-        N, center, bounds, PartialResidue(modulus, x0), bounds.X, t0
-    )
+    record = _solve_residue(N, center, bounds, PartialResidue(modulus, x0), t0)
     if not record.success:
         raise PipelineFailure(
             f"lattice, band search and sweep all failed for N={N}: "
@@ -305,21 +293,6 @@ def run_pipeline(N: int, p_hint: int) -> TrialRecord:
             record,
         )
     return record
-
-
-@dataclass(frozen=True)
-class FactorCaps:
-    """Budgets for factor_auto stages: the trial-division limit, the square
-    tests of the difference-of-squares search, and the number of moduli and
-    the per-residue sweep range of the residue enumeration.  Per residue the
-    lattice pass runs without recentering, and the band search is bounded by
-    construction (about 0.061*n^(1/3) square tests); sweep_cap bounds only
-    the x-sweep after it."""
-
-    trial_limit: int = 10_000
-    fermat_cap: int = fermat.DEFAULT_STEP_CAP
-    modulus_candidates: int = 8
-    sweep_cap: int | None = None  # None: the full balanced bound
 
 
 @dataclass
@@ -346,37 +319,36 @@ class Factorization:
         return out
 
 
-_TRIAL_CACHE: tuple[int, list[int]] = (0, [])
+_TRIAL_LIMIT = 10_000  # factor_auto divides by every prime up to this
+_MODULUS_COUNT = 8  # moduli tried by the residue enumeration
 
 
-def _trial_primes(limit: int) -> list[int]:
-    global _TRIAL_CACHE
-    if _TRIAL_CACHE[0] < limit:
-        _TRIAL_CACHE = (limit, ntheory.sieve_primes(limit))
-    if _TRIAL_CACHE[0] == limit:
-        return _TRIAL_CACHE[1]
-    return [p for p in _TRIAL_CACHE[1] if p <= limit]
+@functools.cache
+def _trial_primes() -> tuple[int, ...]:
+    return tuple(ntheory.sieve_primes(_TRIAL_LIMIT))
 
 
-def _enumerate_residues(n: int, caps: FactorCaps) -> TrialRecord | None:
-    """Enumerate candidate residues x0 in [0, B) for a few moduli B and run
-    the residue stage on each; B is about n**(1/6), so this realizes the
-    residue-enumeration outer loop literally."""
+def enumerate_residues(n: int) -> TrialRecord | None:
+    """Enumerate candidate residues x0 in [0, B) for _MODULUS_COUNT moduli B
+    and run the residue stage on each; B is about n**(1/6), so this realizes
+    the residue-enumeration outer loop literally.  Per residue the lattice
+    pass runs without recentering, the band search is bounded by construction
+    (about 0.061*n^(1/3) square tests) and the x-sweep covers the full box.
+    Returns the first successful record, or None."""
     t0 = time.perf_counter()
     center = FactorCenter.balanced(n)
     if n % center.P0 == 0:  # degenerate center, as in run_pipeline
         return _record(n, center.P0, t0, Method.X_SWEEP, 1)
     bounds = RootBounds.balanced(n)
-    sweep_limit = bounds.X if caps.sweep_cap is None else min(bounds.X, caps.sweep_cap)
     B = ntheory.next_prime(max(ntheory.iroot(n, 6), 2))
-    for _ in range(caps.modulus_candidates):
+    for _ in range(_MODULUS_COUNT):
         if math.gcd(center.P0, B) == 1:
             modulus = ntheory.PrimeModulus(B)
             for x0 in range(1, B):
                 if math.gcd(center.P0 + x0, B) != 1:
                     continue
                 record = _solve_residue(
-                    n, center, bounds, PartialResidue(modulus, x0), sweep_limit, t0
+                    n, center, bounds, PartialResidue(modulus, x0), t0
                 )
                 if record.success:
                     return record
@@ -384,16 +356,17 @@ def _enumerate_residues(n: int, caps: FactorCaps) -> TrialRecord | None:
     return None
 
 
-def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
-    """Full factorization into certified primes: trial division, perfect-power
-    detection, the capped difference-of-squares search, then the
-    residue-enumeration pipeline.  product() always equals N; cofactor > 1
-    (with complete = False) reports the unfactored remainder when caps are
-    exhausted.
+def factor_auto(
+    N: int, fermat_cap: int = fermat.DEFAULT_STEP_CAP
+) -> Factorization:
+    """Full factorization into certified primes: trial division up to
+    _TRIAL_LIMIT, perfect-power detection, the difference-of-squares search
+    capped at fermat_cap square tests, then the residue-enumeration pipeline.
+    product() always equals N; cofactor > 1 (with complete = False) reports
+    the unfactored remainder when every stage fails.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    caps = caps or FactorCaps()
     result = Factorization()
     stack = [N]
     while stack:
@@ -405,7 +378,7 @@ def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
             continue
         t0 = time.perf_counter()
         reduced = False
-        for tried, p in enumerate(_trial_primes(caps.trial_limit), start=1):
+        for tried, p in enumerate(_trial_primes(), start=1):
             if p * p > n:
                 break
             while n % p == 0:
@@ -431,7 +404,7 @@ def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
         if reduced:
             continue
         try:
-            report = fermat.fermat_factor(n, caps.fermat_cap)
+            report = fermat.fermat_factor(n, fermat_cap)
             if report.p > 1:
                 result.splits.append(
                     _record(n, report.p, t0, Method.FERMAT, report.steps)
@@ -440,7 +413,7 @@ def factor_auto(N: int, caps: FactorCaps | None = None) -> Factorization:
                 continue
         except fermat.Exhausted:
             pass
-        record = _enumerate_residues(n, caps)
+        record = enumerate_residues(n)
         if record is not None:
             result.splits.append(record)
             stack.extend([record.p, record.q])
@@ -457,15 +430,8 @@ def experiment_run(spec: SemiprimeSpec, count: int) -> list[TrialRecord]:
     failure skips that trial, neither aborting the batch."""
     records: list[TrialRecord] = []
     for i in range(count):
-        trial_spec = SemiprimeSpec(
-            bits=spec.bits,
-            balance=spec.balance,
-            seed=spec.seed + i,
-            alpha=spec.alpha,
-            beta=spec.beta,
-        )
         try:
-            N, p, _q = gen_semiprime(trial_spec)
+            N, p, _q = gen_semiprime(replace(spec, seed=spec.seed + i))
         except GenerationExhausted:
             continue
         try:

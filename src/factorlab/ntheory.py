@@ -204,21 +204,22 @@ class PrimeModulus:
         return self.value
 
 
-def select_modulus(
-    N: int, p: int, max_candidates: int = 64
-) -> tuple[PrimeModulus, int]:
+_MODULUS_CANDIDATES = 64
+
+
+def select_modulus(N: int, p: int) -> tuple[PrimeModulus, int]:
     """Pick the working prime modulus B and the residue x0 of the factor p.
 
     B starts at the first prime >= floor(N**(1/6)) and advances until
     x0 = (p - isqrt(N)) mod B satisfies gcd(B, x0) = gcd(isqrt(N), B) =
     gcd(isqrt(N) + x0, B) = 1.  x0 = 0 always forces advancement (gcd(B, 0)
-    = B).  Raises SelectionExhausted after max_candidates primes.
+    = B).  Raises SelectionExhausted after _MODULUS_CANDIDATES primes.
     """
     if p <= 1 or N % p != 0:
         raise ValueError("p must be a nontrivial divisor of N")
     root = isqrt(N)
     B = next_prime(max(iroot(N, 6), 2))
-    for _ in range(max_candidates):
+    for _ in range(_MODULUS_CANDIDATES):
         x0 = (p - root) % B
         if (
             x0 != 0
@@ -228,5 +229,5 @@ def select_modulus(
             return PrimeModulus(B), x0
         B = next_prime(B + 1)
     raise SelectionExhausted(
-        f"no qualifying modulus for N={N} within {max_candidates} candidates"
+        f"no qualifying modulus for N={N} within {_MODULUS_CANDIDATES} candidates"
     )

@@ -176,16 +176,16 @@ def log2_int(n: int) -> float:
     return math.log2(n >> shift) + shift
 
 
-def bound_margin(f: BilinearPoly, b: RootBounds, d: int = 1) -> float:
-    """(2/(3d))*log2(W) - log2(X*Y), in bits.
+def bound_margin(f: BilinearPoly, b: RootBounds) -> float:
+    """(2/3)*log2(W) - log2(X*Y), in bits.
 
-    Positive means the small-root solvability hypothesis XY < W**(2/(3d))
+    Positive means the small-root solvability hypothesis XY < W**(2/3)
     holds with that many bits of slack.
     """
     W = poly_height(f, b)
     if W < 2:
         raise ValueError("height must be >= 2")
-    return (2.0 / (3.0 * d)) * log2_int(W) - log2_int(b.X * b.Y)
+    return (2.0 / 3.0) * log2_int(W) - log2_int(b.X * b.Y)
 
 
 def recover_factor(

@@ -250,6 +250,44 @@ def test_shifted_fermat_examples():
     assert (rep35.p, rep35.q) == (5, 7)
 
 
+# (N, x, cap) -> (p, q, steps, start_u), or the Exhausted steps
+_SHIFTED_GOLDEN = {
+    (8833443187, -3, 3): 3,
+    (3644861055503, -5, 4096): (1908601, 1909703, 25, 3818328),
+    (70187068811429, 4, 4096): (8374363, 8381183, 15, 16755560),
+    (142606176827, 10, 64): 64,
+    (24608664799, -6, 4096): (150649, 163351, 129, 313778),
+    (16502955637393, -6, 64): (4062347, 4062419, 35, 8124800),
+    (869107, 2, 3): (877, 991, 1, 1868),
+    (1799928235409, -2, 64): (1340011, 1343219, 3, 2683232),
+    (145800928993, -6, 3): 3,
+    (2313176353469, 4, 64): (1520903, 1520923, 15, 3041840),
+    (10764329, -2, 64): (3121, 3449, 5, 6564),
+    (4095835241389, 10, 3): 3,
+    (601901827, -10, 3): 3,
+    (70565699, 3, 4096): (7873, 8963, 18, 16808),
+    (15900727, 1, 64): (3539, 4493, 29, 7976),
+    (1558490075881, 1, 3): (1248383, 1248407, 1, 2496790),
+    (2196636083, -12, 4096): (43223, 50821, 154, 93888),
+    # one-sided: the estimate lies below the least feasible U
+    (8658938761639, 1, 64): (2940853, 2944363, 1, 5885216),
+    (24608664799, 0, 4096): (150649, 163351, 129, 313744),
+    (70565699, 0, 4096): (7873, 8963, 18, 16802),
+    (142606176827, 0, 3): (376511, 378757, 2, 755266),
+}
+
+
+def test_shifted_fermat_golden():
+    for (N, x, cap), expected in _SHIFTED_GOLDEN.items():
+        if isinstance(expected, int):
+            with pytest.raises(Exhausted) as err:
+                shifted_fermat(N, x, cap)
+            assert err.value.steps == expected
+            continue
+        rep = shifted_fermat(N, x, cap)
+        assert (rep.p, rep.q, rep.steps, rep.start_u) == expected, (N, x, cap)
+
+
 def test_shifted_fermat_constructed_instances_cycle_bound():
     rng = random.Random(13)
     built = 0

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from factorlab import harness, ntheory, polybuild
 from factorlab.harness import (
     Balance,
-    FactorCaps,
     GenerationExhausted,
     Method,
     PipelineFailure,
@@ -45,6 +44,24 @@ def test_gen_deterministic():
     assert gen_semiprime(spec) == gen_semiprime(spec)
     other = gen_semiprime(SemiprimeSpec(bits=16, seed=100))
     assert other != gen_semiprime(spec)
+
+
+def test_gen_semiprime_golden():
+    # exact draws, fixed for every release: a change here changes every
+    # seeded experiment
+    golden = {
+        (24, Balance.BALANCED, 0): (12400799, 2521, 4919),
+        (40, Balance.BALANCED, 3): (1019869978879, 898063, 1135633),
+        (64, Balance.BALANCED, 7): (18411051418692312739, 4279732019, 4301916881),
+        (16, Balance.UNBALANCED, 2): (33379, 29, 1151),
+        (30, Balance.UNBALANCED, 1): (980881613, 881, 1113373),
+        # bits = 2 (mod 3)
+        (32, Balance.UNBALANCED, 0): (2942866441, 1151, 2556791),
+        (44, Balance.UNBALANCED, 5): (10974065861909, 20089, 546272381),
+    }
+    for (bits, balance, seed), expected in golden.items():
+        spec = SemiprimeSpec(bits=bits, balance=balance, seed=seed)
+        assert gen_semiprime(spec) == expected
 
 
 def test_gen_unbalanced_properties():
@@ -216,20 +233,23 @@ def test_factor_auto_product_and_primality(n):
 def test_factor_auto_pipeline_stage():
     # both factors beyond the trial-division limit and too far apart for the
     # capped square search: forces the residue-enumeration pipeline
-    p = ntheory.next_prime(104729)  # > 10^4
-    q = ntheory.next_prime(2 * p + 10)
-    res = factor_auto(p * q, FactorCaps(fermat_cap=4))
+    res = factor_auto(21937688359, fermat_cap=4)  # 104729 * 209471
     assert res.complete
-    assert res.factors == sorted([p, q])
+    assert res.factors == [104729, 209471]
     [split] = res.splits
-    assert split.method in (Method.COPPERSMITH, Method.X_SWEEP) and split.B > 0
+    assert (split.N, split.p, split.q) == (21937688359, 104729, 209471)
+    assert (split.B, split.x0, split.y0) == (53, 23, 37)
+    assert (split.method, split.steps) == (Method.X_SWEEP, 170)
+    assert split.margin_bits == 0.003430091702320226 and split.success
 
 
-def test_factor_auto_incomplete_flagged():
+def test_factor_auto_incomplete_flagged(monkeypatch):
+    # every stage fails: the square search is capped and the residue
+    # enumeration finds nothing
+    monkeypatch.setattr(harness, "enumerate_residues", lambda n: None)
     p = ntheory.next_prime(1 << 15)
     q = ntheory.next_prime(1 << 19)  # far from balanced
-    caps = FactorCaps(fermat_cap=4, modulus_candidates=1, sweep_cap=4)
-    res = factor_auto(p * q, caps)
+    res = factor_auto(p * q, fermat_cap=4)
     assert not res.complete
     assert res.product() == p * q
     assert res.factors == []
