@@ -14,7 +14,6 @@ from factorlab import (
     RootBounds,
     bound_margin,
     build_polynomial,
-    derive_partial_residue,
     is_reducible,
     poly_height,
     recover_factor,
@@ -32,7 +31,7 @@ def main():
     print(f"center P0 = Q0 = isqrt(N) = {center.P0}")
     print(f"selected modulus B = {B.value}, residue of p: x0 = {x0}")
     pr = PartialResidue(B, x0)
-    assert derive_partial_residue(p, center, B) == pr
+    assert x0 == (p - center.P0) % B.value
 
     y0 = solve_companion_residue(N, center, pr)
     print(f"companion residue: y0 = {y0}  (indeed (q - Q0) mod B = "

@@ -8,6 +8,7 @@ plain text or JSONL on stdout; configuration is flags only.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 import time
@@ -35,6 +36,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_factor = sub.add_parser("factor", help="factor one integer")
+    p_factor.set_defaults(run=_cmd_factor)
     p_factor.add_argument("N", type=_parse_n, help="integer, decimal or 0x-hex")
     p_factor.add_argument(
         "--method",
@@ -47,12 +49,14 @@ def _build_parser() -> _Parser:
     )
 
     p_gen = sub.add_parser("gen", help="emit reproducible semiprimes as JSONL")
+    p_gen.set_defaults(run=_cmd_gen)
     p_gen.add_argument("--bits", type=int, required=True)
     p_gen.add_argument("--count", type=int, required=True)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--unbalanced", action="store_true")
 
     p_exp = sub.add_parser("experiment", help="run pipeline trials, JSONL records")
+    p_exp.set_defaults(run=_cmd_experiment)
     p_exp.add_argument("--bits", type=int, required=True)
     p_exp.add_argument("--count", type=int, required=True)
     p_exp.add_argument("--seed", type=int, required=True)
@@ -60,12 +64,14 @@ def _build_parser() -> _Parser:
     p_exp.add_argument("--out", required=True, help="output file for JSONL records")
 
     p_scan = sub.add_parser("bound-scan", help="bound-margin table as JSONL")
+    p_scan.set_defaults(run=_cmd_bound_scan)
     p_scan.add_argument("--bits-min", type=int, required=True)
     p_scan.add_argument("--bits-max", type=int, required=True)
     p_scan.add_argument("--step", type=int, default=4)
     p_scan.add_argument("--trials", type=int, default=10)
 
     p_lll = sub.add_parser("lll-check", help="reduction invariant suite")
+    p_lll.set_defaults(run=_cmd_lll_check)
     p_lll.add_argument("--dim", type=int, required=True)
     p_lll.add_argument("--seed", type=int, required=True)
     p_lll.add_argument("--trials", type=int, required=True)
@@ -81,33 +87,16 @@ def _build_parser() -> _Parser:
 def _cmd_factor(args) -> int:
     N = args.N
     if N < 2:
-        print("N must be >= 2", file=sys.stderr)
-        return 1
-    t0 = time.perf_counter()
-    if args.method == "fermat":
-        if N % 2 == 0 or N < 3:
-            print("fermat method needs odd N >= 3", file=sys.stderr)
-            return 1
-        try:
-            rep = fermat.fermat_factor(N, args.cap)
-        except fermat.Exhausted:
-            print(f"exhausted after {args.cap} square tests")
+        raise ValueError("N must be >= 2")
+    if args.method == "auto":
+        result = harness.factor_auto(N, fermat_cap=args.cap)
+        factors = " * ".join(str(f) for f in result.factors)
+        if not result.complete:
+            print(f"{N} = {factors} * [{result.cofactor}]  (incomplete)")
             return 2
-        print(f"{N} = {rep.p} * {rep.q}")
-        print(harness._record(N, rep.p, t0, Method.FERMAT, rep.steps).to_json())
-        return 0
-    if args.method == "shifted":
-        try:
-            rep = fermat.shifted_fermat(N, args.x, args.cap)
-        except fermat.Exhausted:
-            print(f"exhausted after {args.cap} square tests")
-            return 2
-        except (ValueError, fermat.DegenerateDenominator) as exc:
-            print(str(exc), file=sys.stderr)
-            return 1
-        print(f"{N} = {rep.p} * {rep.q}")
-        record = harness._record(N, rep.p, t0, Method.SHIFTED_FERMAT, rep.steps)
-        print(record.to_json())
+        print(f"{N} = {factors}")
+        if result.splits:  # the split of N itself, from the stage that made it
+            print(result.splits[0].to_json())
         return 0
     if args.method == "pipeline":
         if ntheory.is_prime(N):
@@ -117,18 +106,20 @@ def _cmd_factor(args) -> int:
         if record is None:
             print("pipeline exhausted")
             return 2
-        print(f"{N} = {record.p} * {record.q}")
-        print(record.to_json())
-        return 0
-    # auto
-    result = harness.factor_auto(N, fermat_cap=args.cap)
-    factors = " * ".join(str(f) for f in result.factors)
-    if not result.complete:
-        print(f"{N} = {factors} * [{result.cofactor}]  (incomplete)")
-        return 2
-    print(f"{N} = {factors}")
-    if result.splits:  # the split of N itself, from the stage that made it
-        print(result.splits[0].to_json())
+    else:
+        t0 = time.perf_counter()
+        try:
+            if args.method == "fermat":
+                rep, method = fermat.fermat_factor(N, args.cap), Method.FERMAT
+            else:
+                rep = fermat.shifted_fermat(N, args.x, args.cap)
+                method = Method.SHIFTED_FERMAT
+        except fermat.Exhausted:
+            print(f"exhausted after {args.cap} square tests")
+            return 2
+        record = harness._record(N, rep.p, t0, method, rep.steps)
+    print(f"{N} = {record.p} * {record.q}")
+    print(record.to_json())
     return 0
 
 
@@ -137,7 +128,7 @@ def _cmd_gen(args) -> int:
     for i in range(args.count):
         spec = SemiprimeSpec(bits=args.bits, balance=balance, seed=args.seed + i)
         N, p, q = harness.gen_semiprime(spec)
-        print(f'{{"N": "{N}", "p": "{p}", "q": "{q}"}}')
+        print(json.dumps({"N": str(N), "p": str(p), "q": str(q)}))
     return 0
 
 
@@ -162,8 +153,7 @@ def _cmd_bound_scan(args) -> int:
 
 def _cmd_lll_check(args) -> int:
     if args.dim < 2:
-        print("--dim must be >= 2", file=sys.stderr)
-        return 1
+        raise ValueError("--dim must be >= 2")
     rng = random.Random(args.seed)
     bound = 1 << args.entry_bits
     bad = 0
@@ -188,7 +178,7 @@ def _cmd_lll_check(args) -> int:
             continue
         problems = lattice.check_reduction(basis, reduced)
         status = "ok" if not problems else "FAIL " + "; ".join(problems)
-        print(f'{{"trial": {trial}, "shape": "{shape}", "status": "{status}"}}')
+        print(json.dumps({"trial": trial, "shape": shape, "status": status}))
         bad += bool(problems)
     return 0 if bad == 0 else 2
 
@@ -196,20 +186,10 @@ def _cmd_lll_check(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "factor":
-            return _cmd_factor(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "bound-scan":
-            return _cmd_bound_scan(args)
-        if args.command == "lll-check":
-            return _cmd_lll_check(args)
+        return args.run(args)
     except (ValueError, harness.GenerationExhausted) as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

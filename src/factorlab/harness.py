@@ -18,7 +18,8 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 
 from . import fermat, lattice, ntheory, polybuild
@@ -84,32 +85,17 @@ class TrialRecord:
     elapsed_ms: float
 
     def to_json(self) -> str:
-        payload = {}
-        for name in ("N", "p", "q", "B", "x0", "y0"):
-            payload[name] = str(getattr(self, name))
-        payload["method"] = self.method.value
-        payload["steps"] = str(self.steps)
-        payload["margin_bits"] = self.margin_bits
-        payload["success"] = self.success
-        payload["elapsed_ms"] = self.elapsed_ms
-        return json.dumps(payload)
+        """Keys in field order; ints (not bools) as decimal strings and the
+        method, a str enum, as its value."""
+        return json.dumps(
+            {k: str(v) if type(v) is int else v for k, v in asdict(self).items()}
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
         raw = json.loads(line)
-        return cls(
-            N=int(raw["N"]),
-            p=int(raw["p"]),
-            q=int(raw["q"]),
-            B=int(raw["B"]),
-            x0=int(raw["x0"]),
-            y0=int(raw["y0"]),
-            method=Method(raw["method"]),
-            steps=int(raw["steps"]),
-            margin_bits=float(raw["margin_bits"]),
-            success=bool(raw["success"]),
-            elapsed_ms=float(raw["elapsed_ms"]),
-        )
+        hints = typing.get_type_hints(cls)  # each field's type parses its value
+        return cls(**{f.name: hints[f.name](raw[f.name]) for f in fields(cls)})
 
 
 def _splitmix64(x: int) -> int:
@@ -313,13 +299,10 @@ class Factorization:
         return self.cofactor == 1
 
     def product(self) -> int:
-        out = self.cofactor
-        for f in self.factors:
-            out *= f
-        return out
+        return math.prod(self.factors, start=self.cofactor)
 
 
-_TRIAL_LIMIT = 10_000  # factor_auto divides by every prime up to this
+_TRIAL_LIMIT = 10_000  # _split divides by the primes up to this
 _MODULUS_COUNT = 8  # moduli tried by the residue enumeration
 
 
@@ -356,14 +339,42 @@ def enumerate_residues(n: int) -> TrialRecord | None:
     return None
 
 
+def _split(n: int, fermat_cap: int) -> TrialRecord | None:
+    """The record of the first stage that splits the composite n, or None
+    when every stage fails.  The stages, in order:
+
+    1. trial division by the first prime up to _TRIAL_LIMIT that divides n
+       (steps: the index of that prime, as no smaller prime divides n);
+    2. perfect powers, n = r**k split as r * r**(k-1) (steps: the exponents
+       tried);
+    3. the difference-of-squares search, capped at fermat_cap square tests;
+    4. the residue enumeration (enumerate_residues).
+    """
+    t0 = time.perf_counter()
+    for tried, p in enumerate(_trial_primes(), start=1):
+        if p * p > n:
+            break
+        if n % p == 0:
+            return _record(n, p, t0, Method.TRIAL_DIVISION, tried)
+    for k in range(2, n.bit_length() + 1):
+        r = ntheory.iroot(n, k)
+        if r >= 2 and r**k == n:
+            return _record(n, r, t0, Method.PERFECT_POWER, k - 1)
+    try:
+        report = fermat.fermat_factor(n, fermat_cap)
+    except fermat.Exhausted:
+        return enumerate_residues(n)
+    return _record(n, report.p, t0, Method.FERMAT, report.steps)
+
+
 def factor_auto(
     N: int, fermat_cap: int = fermat.DEFAULT_STEP_CAP
 ) -> Factorization:
-    """Full factorization into certified primes: trial division up to
-    _TRIAL_LIMIT, perfect-power detection, the difference-of-squares search
-    capped at fermat_cap square tests, then the residue-enumeration pipeline.
-    product() always equals N; cofactor > 1 (with complete = False) reports
-    the unfactored remainder when every stage fails.
+    """Full factorization into certified primes: each composite part is split
+    by the first stage of _split that succeeds, fermat_cap capping its
+    square search, and both parts are factored in turn.  product() always
+    equals N; cofactor > 1 (with complete = False) holds the parts no stage
+    could split.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -371,54 +382,13 @@ def factor_auto(
     stack = [N]
     while stack:
         n = stack.pop()
-        if n == 1:
-            continue
         if ntheory.is_prime(n):
             result.factors.append(n)
-            continue
-        t0 = time.perf_counter()
-        reduced = False
-        for tried, p in enumerate(_trial_primes(), start=1):
-            if p * p > n:
-                break
-            while n % p == 0:
-                if n != p:
-                    result.splits.append(_record(n, p, t0, Method.TRIAL_DIVISION, tried))
-                result.factors.append(p)
-                n //= p
-                reduced = True
-        if n == 1:
-            continue
-        if reduced:
-            stack.append(n)
-            continue
-        # perfect power: n = r**k, split as r * r**(k-1); steps counts the
-        # exponents tried
-        for k in range(2, n.bit_length() + 1):
-            r = ntheory.iroot(n, k)
-            if r >= 2 and r**k == n:
-                result.splits.append(_record(n, r, t0, Method.PERFECT_POWER, k - 1))
-                stack.extend([r, n // r])
-                reduced = True
-                break
-        if reduced:
-            continue
-        try:
-            report = fermat.fermat_factor(n, fermat_cap)
-            if report.p > 1:
-                result.splits.append(
-                    _record(n, report.p, t0, Method.FERMAT, report.steps)
-                )
-                stack.extend([report.p, report.q])
-                continue
-        except fermat.Exhausted:
-            pass
-        record = enumerate_residues(n)
-        if record is not None:
+        elif (record := _split(n, fermat_cap)) is not None:
             result.splits.append(record)
-            stack.extend([record.p, record.q])
-            continue
-        result.cofactor *= n
+            stack += [record.p, record.q]
+        else:
+            result.cofactor *= n
     result.factors.sort()
     return result
 
@@ -452,15 +422,7 @@ class BoundScanRow:
     max_margin_bits: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bits": self.bits,
-                "trials": self.trials,
-                "mean_margin_bits": self.mean_margin_bits,
-                "min_margin_bits": self.min_margin_bits,
-                "max_margin_bits": self.max_margin_bits,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def bound_scan(

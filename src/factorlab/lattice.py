@@ -554,16 +554,8 @@ def _lattice_pass(
     roots: set[tuple[int, int]] = set()
     saw_independent = False
     for row in reduced:
-        coeffs: dict[tuple[int, int], int] = {}
-        exact = True
-        for t, mn in enumerate(mons):
-            q, r = divmod(row[t], scale[t])
-            if r:
-                exact = False
-                break
-            coeffs[mn] = q
-        if not exact:
-            continue
+        # every generator's column t is a multiple of scale[t], so every row's is
+        coeffs = {mn: row[t] // scale[t] for t, mn in enumerate(mons)}
         hx: list[Poly] = [
             ptrim([coeffs.get((i, j), 0) for j in range(m + 2)])
             for i in range(m + 2)

@@ -90,16 +90,6 @@ class RootBounds:
         return cls(r, r)
 
 
-def derive_partial_residue(
-    p: int, center: FactorCenter, B: PrimeModulus | int
-) -> PartialResidue:
-    """Simulate the residue oracle: x0 = (p - P0) mod B, canonical in [0, B)."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    modulus = B if isinstance(B, PrimeModulus) else PrimeModulus(B)
-    return PartialResidue(modulus, (p - center.P0) % modulus.value)
-
-
 def solve_companion_residue(
     N: int,
     center: FactorCenter,

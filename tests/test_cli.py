@@ -121,6 +121,15 @@ def test_factor_even_fermat_rejected(capsys):
     assert "odd" in errtxt
 
 
+def test_factor_shifted_input_errors(capsys):
+    # ValueErrors of the search itself, DegenerateDenominator among them,
+    # reach main's handler: exit 1 and the message alone on stderr
+    code, out, err = run_cli(capsys, "factor", "35", "--method", "shifted", "--x", "-100")
+    assert (code, out, err) == (1, "", "iroot(N,4) + x = -98 <= 0\n")
+    code, out, err = run_cli(capsys, "factor", "36", "--method", "shifted")
+    assert (code, out, err) == (1, "", "N must be an odd integer >= 16\n")
+
+
 def test_gen_jsonl_deterministic(capsys):
     code, out1, _ = run_cli(capsys, "gen", "--bits", "20", "--count", "3", "--seed", "4")
     assert code == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab import harness, ntheory, polybuild
+from factorlab import fermat, harness, ntheory, polybuild
 from factorlab.harness import (
     Balance,
     GenerationExhausted,
@@ -177,14 +178,34 @@ def test_run_pipeline_40bit_sweep_bound():
 
 
 def test_trial_record_roundtrip():
-    rec = run_pipeline(11639, 103)
-    line = rec.to_json()
-    parsed = json.loads(line)
-    # integers travel as decimal strings
-    for key in ("N", "p", "q", "B", "x0", "y0", "steps"):
-        assert isinstance(parsed[key], str)
-    back = TrialRecord.from_json(line)
-    assert back == rec
+    t0 = time.perf_counter()
+    shifted = fermat.shifted_fermat(11639, 3)
+    with pytest.raises(PipelineFailure) as failure:
+        run_pipeline(40571, 29)  # the failed trial of the 16-bit unbalanced batch
+    records = [
+        run_pipeline(11639, 103),  # COPPERSMITH
+        run_pipeline(143, 11),  # X_SWEEP: isqrt(143) = 11 divides N
+        factor_auto(3166868267, fermat_cap=4).splits[0],  # RESIDUE_FERMAT
+        factor_auto(60).splits[0],  # TRIAL_DIVISION
+        factor_auto(10007**2).splits[0],  # PERFECT_POWER
+        factor_auto(1000000016000000063).splits[0],  # FERMAT
+        harness._record(11639, shifted.p, t0, Method.SHIFTED_FERMAT, shifted.steps),
+        failure.value.record,
+    ]
+    assert {r.method for r in records} == set(Method)
+    assert not records[-1].success
+    names = [f.name for f in dataclasses.fields(TrialRecord)]
+    for rec in records:
+        line = rec.to_json()
+        parsed = json.loads(line)
+        assert list(parsed) == names
+        # integers travel as decimal strings; the bool and floats do not
+        for key in ("N", "p", "q", "B", "x0", "y0", "steps"):
+            assert parsed[key] == str(getattr(rec, key))
+        assert parsed["method"] == rec.method.value
+        assert parsed["success"] is rec.success
+        assert parsed["margin_bits"] == rec.margin_bits
+        assert TrialRecord.from_json(line) == rec
 
 
 def test_factor_auto_examples():
@@ -204,6 +225,46 @@ def test_factor_auto_prime_powers_and_primes():
     assert [(r.method, r.steps) for r in square.splits] == [(Method.PERFECT_POWER, 1)]
     assert [(r.N, r.method, r.steps) for r in cube.splits] == [
         (p**3, Method.PERFECT_POWER, 2), (p**2, Method.PERFECT_POWER, 1)
+    ]
+
+
+def test_factor_auto_splits_golden():
+    # every split (N, p, q, method, steps, B, x0, y0, margin_bits), in order,
+    # as the driver made them before its stages moved into _split
+    def splits(n, **kw):
+        return [
+            (r.N, r.p, r.q, r.method, r.steps, r.B, r.x0, r.y0, r.margin_bits)
+            for r in factor_auto(n, **kw).splits
+        ]
+
+    TD, PP = Method.TRIAL_DIVISION, Method.PERFECT_POWER
+    assert splits(2**20) == [
+        (2**k, 2, 2 ** (k - 1), TD, 1, 0, 0, 0, 0.0) for k in range(20, 1, -1)
+    ]
+    assert splits(2**3 * 3**2 * 10007**2) == [
+        (7210083528, 2, 3605041764, TD, 1, 0, 0, 0, 0.0),
+        (3605041764, 2, 1802520882, TD, 1, 0, 0, 0, 0.0),
+        (1802520882, 2, 901260441, TD, 1, 0, 0, 0, 0.0),
+        (901260441, 3, 300420147, TD, 2, 0, 0, 0, 0.0),
+        (300420147, 3, 100140049, TD, 2, 0, 0, 0, 0.0),
+        (100140049, 10007, 10007, PP, 1, 0, 0, 0, 0.0),
+    ]
+    p = ntheory.next_prime(10**7)  # 10000019
+    assert splits(p**5) == [
+        (p**5, p, p**4, PP, 4, 0, 0, 0, 0.0),
+        (p**4, p**2, p**2, PP, 1, 0, 0, 0, 0.0),
+        (p**2, p, p, PP, 1, 0, 0, 0, 0.0),
+        (p**2, p, p, PP, 1, 0, 0, 0, 0.0),
+    ]
+    assert splits(3 * 5 * 1000000016000000063) == [
+        (15000000240000000945, 3, 5000000080000000315, TD, 2, 0, 0, 0, 0.0),
+        (5000000080000000315, 5, 1000000016000000063, TD, 3, 0, 0, 0, 0.0),
+        (1000000016000000063, 1000000007, 1000000009, Method.FERMAT, 1, 0, 0, 0, 0.0),
+    ]
+    # 32-bit balanced, seed 0: the capped square search gives up
+    assert splits(3166868267, fermat_cap=4) == [
+        (3166868267, 40123, 78929, Method.RESIDUE_FERMAT, 80, 41, 3, 23,
+         0.13031183759530052),
     ]
 
 

@@ -12,7 +12,6 @@ from factorlab.polybuild import (
     RootBounds,
     bound_margin,
     build_polynomial,
-    derive_partial_residue,
     is_reducible,
     poly_height,
     recover_factor,
@@ -54,13 +53,6 @@ def test_partial_residue_validation():
         PartialResidue(PrimeModulus(5), 5)
     with pytest.raises(ValueError):
         PartialResidue(PrimeModulus(5), -1)
-
-
-def test_derive_partial_residue_examples():
-    center = FactorCenter(107, 107)
-    assert derive_partial_residue(103, center, PrimeModulus(5)).x0 == 1
-    assert derive_partial_residue(113, center, PrimeModulus(5)).x0 == 1
-    assert derive_partial_residue(107, center, 5).x0 == 0
 
 
 def test_solve_companion_residue_worked_instance():
