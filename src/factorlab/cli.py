@@ -98,10 +98,10 @@ def _cmd_factor(args) -> int:
         if result.splits:  # the split of N itself, from the stage that made it
             print(result.splits[0].to_json())
         return 0
+    if ntheory.is_prime(N):
+        print(f"{N} is prime")
+        return 0
     if args.method == "pipeline":
-        if ntheory.is_prime(N):
-            print(f"{N} is prime")
-            return 0
         record = harness.enumerate_residues(N)
         if record is None:
             print("pipeline exhausted")

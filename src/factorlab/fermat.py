@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ntheory import iroot, isqrt
+from .ntheory import isqrt
 
 DEFAULT_STEP_CAP = 1 << 20
 
@@ -167,9 +167,10 @@ def compute_initial_u(N: int, x: int) -> int:
     if N < 16:
         raise ValueError("N must be >= 16 so that iroot(N, 4) >= 2")
     r = isqrt(N)
-    if iroot(N, 4) + x <= 0:
-        raise DegenerateDenominator(f"iroot(N,4) + x = {iroot(N, 4) + x} <= 0")
-    f = Fraction(isqrt(isqrt(N << 64)), 1 << 16)
+    F = isqrt(isqrt(N << 64))  # floor(N**(1/4) * 2**16), so F >> 16 is iroot(N, 4)
+    if (F >> 16) + x <= 0:
+        raise DegenerateDenominator(f"iroot(N,4) + x = {(F >> 16) + x} <= 0")
+    f = Fraction(F, 1 << 16)
     value = 2 * r + 2 * f * x - (2 * r * x + f * x * x) / (f + x)
     u0 = _round_nearest(value)
     if u0 % 2:

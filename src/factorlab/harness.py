@@ -138,16 +138,12 @@ def gen_semiprime(spec: SemiprimeSpec) -> tuple[int, int, int]:
             hi_q = min(hi_q, 2 * p - 1)
         if lo_q > hi_q:
             continue
+        # lo_q and hi_q give p < q, N of spec.bits bits and, balanced, q < 2p
         q = ntheory.next_prime(rng.randrange(lo_q, hi_q + 1))
-        if q > hi_q or q <= p:
+        if q > hi_q:
             continue
         N = p * q
-        if N.bit_length() != spec.bits:
-            continue
-        if spec.balance is Balance.BALANCED:
-            if not q < 2 * p:
-                continue
-        elif not 2 * p**3 > N >= p**3:
+        if spec.balance is Balance.UNBALANCED and not 2 * p**3 > N >= p**3:
             continue
         return N, p, q
     raise GenerationExhausted(f"no {spec.balance.value} semiprime after cap: {spec}")
@@ -346,7 +342,8 @@ def _split(n: int, fermat_cap: int) -> TrialRecord | None:
     1. trial division by the first prime up to _TRIAL_LIMIT that divides n
        (steps: the index of that prime, as no smaller prime divides n);
     2. perfect powers, n = r**k split as r * r**(k-1) (steps: the exponents
-       tried);
+       tried), only at the k with _TRIAL_LIMIT**k < n: a part that gets
+       here has no prime factor up to _TRIAL_LIMIT;
     3. the difference-of-squares search, capped at fermat_cap square tests;
     4. the residue enumeration (enumerate_residues).
     """
@@ -356,10 +353,12 @@ def _split(n: int, fermat_cap: int) -> TrialRecord | None:
             break
         if n % p == 0:
             return _record(n, p, t0, Method.TRIAL_DIVISION, tried)
-    for k in range(2, n.bit_length() + 1):
+    k = 2
+    while _TRIAL_LIMIT**k < n:
         r = ntheory.iroot(n, k)
-        if r >= 2 and r**k == n:
+        if r**k == n:
             return _record(n, r, t0, Method.PERFECT_POWER, k - 1)
+        k += 1
     try:
         report = fermat.fermat_factor(n, fermat_cap)
     except fermat.Exhausted:

@@ -1,7 +1,8 @@
 """Exact arbitrary-precision number-theoretic primitives.
 
-Everything here is pure and total on its stated domain; all arithmetic is
-exact integer arithmetic (no floating point leaks into results).
+Everything here is pure and total on its stated domain, at every size: all
+arithmetic is exact integer arithmetic, with no float to overflow or to
+round (iroot included, by integer Newton iteration).
 """
 
 from __future__ import annotations
@@ -38,10 +39,14 @@ def is_perfect_square(n: int) -> int | None:
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root: largest s with s**k <= n.
+    """Floor of the k-th root: the unique s with s**k <= n < (s+1)**k.
 
-    Float seeding only; the result is corrected until the bracketing
-    s**k <= n < (s+1)**k holds exactly.
+    Integer Newton iteration s -> ((k-1)*s + n // s**(k-1)) // k, with no
+    float, from s = 2**ceil(b/k) for b the bit length of n: above the root,
+    as n < 2**b.  By the AM-GM inequality no iterate falls below the floor
+    root r, and from any s > r (s**k > n) the next iterate is smaller than
+    s; so the iterates fall strictly to r, the first s whose successor is
+    not smaller.
     """
     if n < 0:
         raise ValueError("iroot of negative integer")
@@ -49,18 +54,11 @@ def iroot(n: int, k: int) -> int:
         raise ValueError("root order must be >= 1")
     if n == 0:
         return 0
-    if k == 1:
-        return n
     if k == 2:
         return math.isqrt(n)
-    try:
-        s = int(round(n ** (1.0 / k)))
-    except OverflowError:
-        s = 1 << (n.bit_length() // k + 1)
-    while s > 1 and s**k > n:
-        s -= 1
-    while (s + 1) ** k <= n:
-        s += 1
+    s = 1 << -(-n.bit_length() // k)
+    while (t := ((k - 1) * s + n // s ** (k - 1)) // k) < s:
+        s = t
     return s
 
 

@@ -58,6 +58,20 @@ def test_factor_auto_prime_prints_no_record(capsys):
     assert out.strip().splitlines() == ["1000000007 = 1000000007"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("101", "--method", "fermat"),
+        ("101", "--method", "shifted"),
+        ("101", "--method", "pipeline"),
+        ("2", "--method", "fermat"),
+    ],
+)
+def test_factor_methods_report_a_prime_without_a_split(capsys, argv):
+    code, out, _ = run_cli(capsys, "factor", *argv)
+    assert (code, out) == (0, f"{argv[0]} is prime\n")
+
+
 def test_factor_fermat_method(capsys):
     code, out, _ = run_cli(capsys, "factor", "5959", "--method", "fermat")
     assert code == 0

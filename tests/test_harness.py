@@ -228,6 +228,21 @@ def test_factor_auto_prime_powers_and_primes():
     ]
 
 
+def test_factor_auto_255bit_near_square_splits_at_first_square_test():
+    # no perfect-power root stands between trial division and the square
+    # search that splits this in one test
+    p = ntheory.next_prime(2**127)
+    q = ntheory.next_prime(p + 2**30)
+    N = 28948022309329048855892746252354664678192330038813755517855169602419458835331
+    assert N == p * q
+    t0 = time.perf_counter()
+    result = factor_auto(N)
+    elapsed = time.perf_counter() - t0
+    assert result.factors == [p, q]
+    assert [(r.method, r.steps) for r in result.splits] == [(Method.FERMAT, 1)]
+    assert elapsed < 0.5  # about 2 ms
+
+
 def test_factor_auto_splits_golden():
     # every split (N, p, q, method, steps, B, x0, y0, margin_bits), in order,
     # as the driver made them before its stages moved into _split
@@ -260,6 +275,21 @@ def test_factor_auto_splits_golden():
         (15000000240000000945, 3, 5000000080000000315, TD, 2, 0, 0, 0, 0.0),
         (5000000080000000315, 5, 1000000016000000063, TD, 3, 0, 0, 0, 0.0),
         (1000000016000000063, 1000000007, 1000000009, Method.FERMAT, 1, 0, 0, 0, 0.0),
+    ]
+    # 10007**7 is a perfect power at the largest exponent the stage tries,
+    # 10000**7 < 10007**7
+    p, p3 = 10007, 10007**3
+    assert splits(p**7) == [
+        (p**7, p, p**6, PP, 6, 0, 0, 0, 0.0),
+        (p**6, p3, p3, PP, 1, 0, 0, 0, 0.0),
+        (p3, p, p**2, PP, 2, 0, 0, 0, 0.0),
+        (p**2, p, p, PP, 1, 0, 0, 0, 0.0),
+        (p3, p, p**2, PP, 2, 0, 0, 0, 0.0),
+        (p**2, p, p, PP, 1, 0, 0, 0, 0.0),
+    ]
+    assert splits(10009**3) == [
+        (10009**3, 10009, 10009**2, PP, 2, 0, 0, 0, 0.0),
+        (10009**2, 10009, 10009, PP, 1, 0, 0, 0, 0.0),
     ]
     # 32-bit balanced, seed 0: the capped square search gives up
     assert splits(3166868267, fermat_cap=4) == [
@@ -391,6 +421,13 @@ def test_bound_scan_rows():
         assert row.min_margin_bits <= row.mean_margin_bits <= row.max_margin_bits
         payload = json.loads(row.to_json())
         assert payload["bits"] == row.bits
+
+
+def test_bound_scan_at_256_bits():
+    # every root the scan takes (N^(1/3) for the box, N^(1/6) for the
+    # modulus) is exact at this size
+    rows = bound_scan(256, 256, 1, 1)
+    assert [(r.bits, r.trials) for r in rows] == [(256, 1)]
 
 
 def test_bound_scan_margin_definition_identity():

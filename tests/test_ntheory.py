@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factorlab import ntheory
 from factorlab.ntheory import (
@@ -62,6 +64,13 @@ def test_iroot_small_and_large():
         for n in (1, 2, 10**12, 10**13 + 7):
             r = iroot(n, k)
             assert r**k <= n < (r + 1) ** k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**4096 - 1), st.integers(1, 64))
+def test_iroot_brackets_exactly_at_every_size(n, k):
+    s = iroot(n, k)
+    assert s**k <= n < (s + 1) ** k
 
 
 def test_modinv_examples():
