@@ -2,13 +2,14 @@
 
 Subcommands: factor, gen, experiment, bound-scan, lll-check.  All output is
 plain text or JSONL on stdout; configuration is flags only.  Exit codes:
-0 success, 2 exhausted/incomplete, 1 usage or domain error.
+0 success, 2 exhausted/incomplete, 1 usage, domain or output error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -135,8 +136,8 @@ def _cmd_gen(args) -> int:
 def _cmd_experiment(args) -> int:
     balance = Balance.UNBALANCED if args.unbalanced else Balance.BALANCED
     spec = SemiprimeSpec(bits=args.bits, balance=balance, seed=args.seed)
-    records = harness.experiment_run(spec, args.count)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:  # fail before any trial
+        records = harness.experiment_run(spec, args.count)
         for rec in records:
             fh.write(rec.to_json() + "\n")
     ok = sum(1 for r in records if r.success)
@@ -186,8 +187,15 @@ def _cmd_lll_check(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except (ValueError, harness.GenerationExhausted) as exc:
+        status = args.run(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is still buffered to devnull,
+        # so the interpreter's flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (OSError, ValueError, harness.GenerationExhausted) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

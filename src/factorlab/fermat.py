@@ -2,16 +2,15 @@
 restriction to one residue class of u, and the shifted-center variant with
 exact cycle accounting.
 
-All searches count every square test performed ("steps"), so measured costs
-can be compared against the predicted cycle counts.
+Every search runs on one scan kernel, _scan_classic, and uses integer
+arithmetic only.  All searches count every square test performed ("steps"),
+so measured costs can be compared against the predicted cycle counts.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -64,14 +63,16 @@ def _scan_classic(
 ) -> tuple[int, int] | None:
     """Scan u = u0, u0+stride, u0+2*stride, ... testing u*u - N for squareness.
 
-    Returns (u_hit, steps) or None when step_cap tests all fail.  Uses an
-    int64 numpy window while safe, then an exact big-int loop.  Every hit is
-    re-verified in exact integer arithmetic.
+    stride may be negative (a descending scan); every u scanned must keep
+    u*u >= N.  Returns (u_hit, steps) or None when step_cap tests all fail.
+    Uses an int64 numpy window while its larger end stays below 2**31, then
+    an exact big-int loop.  Every hit is re-verified in exact integer
+    arithmetic.
     """
     steps = 0
     u = u0
     window = _WINDOW_START
-    while steps < step_cap and u + stride * window < _VECTOR_U_LIMIT:
+    while steps < step_cap and max(u, u + stride * window) < _VECTOR_U_LIMIT:
         w = min(window, step_cap - steps)
         us = np.arange(u, u + stride * w, stride, dtype=np.int64)
         ts = us * us - N
@@ -156,13 +157,14 @@ def compute_initial_u(N: int, x: int) -> int:
     """Estimate of U = p + q for factors offset by roughly x * N**(1/4).
 
     Evaluates 2*r + 2*f*x - (2*r*x + f*x*x) / (f + x) with r = isqrt(N),
-    the unknown residual term in the denominator dropped, and f a fixed-point
-    fourth root of N carrying 16 fractional bits.  Flooring f instead would
-    leak an error that grows like 4|x| into the estimate and blow the
-    shifted search's cycle bound; flooring r costs at most 2 and keeps
-    compute_initial_u(N, 0) == 2*isqrt(N) exact.  The rational value is
-    rounded to nearest and then moved to the nearest even integer (p + q is
-    even for odd p, q).
+    the unknown residual term in the denominator dropped, and f = F / 2**16
+    a fixed-point fourth root of N.  Flooring f instead would leak an error
+    that grows like 4|x| into the estimate and blow the shifted search's
+    cycle bound; flooring r costs at most 2 and keeps
+    compute_initial_u(N, 0) == 2*isqrt(N) exact.  The value is the integer
+    ratio num / den = f*(2*r + 2*f*x + x*x) / (f + x) with den > 0, and it
+    is positive, as f*f <= sqrt(N) < r + 1.  It is rounded to nearest and
+    then moved to the nearest even integer (p + q is even for odd p, q).
     """
     if N < 16:
         raise ValueError("N must be >= 16 so that iroot(N, 4) >= 2")
@@ -170,19 +172,12 @@ def compute_initial_u(N: int, x: int) -> int:
     F = isqrt(isqrt(N << 64))  # floor(N**(1/4) * 2**16), so F >> 16 is iroot(N, 4)
     if (F >> 16) + x <= 0:
         raise DegenerateDenominator(f"iroot(N,4) + x = {(F >> 16) + x} <= 0")
-    f = Fraction(F, 1 << 16)
-    value = 2 * r + 2 * f * x - (2 * r * x + f * x * x) / (f + x)
-    u0 = _round_nearest(value)
+    num = F * (((2 * r + x * x) << 16) + 2 * F * x)
+    den = (F + (x << 16)) << 16
+    u0 = (2 * num + den) // (2 * den)
     if u0 % 2:
-        u0 += 1 if value >= u0 else -1
+        u0 += 1 if num >= u0 * den else -1
     return u0
-
-
-def _round_nearest(value: Fraction) -> int:
-    n, d = value.numerator, value.denominator
-    if n >= 0:
-        return (2 * n + d) // (2 * d)
-    return -((-2 * n + d) // (2 * d))
 
 
 def shifted_fermat(N: int, x: int, step_cap: int = DEFAULT_STEP_CAP) -> FermatReport:
@@ -193,30 +188,35 @@ def shifted_fermat(N: int, x: int, step_cap: int = DEFAULT_STEP_CAP) -> FermatRe
     with U*U >= 4N; both are even, as p + q is for odd p, q.  Candidates
     below u_min are skipped without a square test; steps counts tests
     actually performed.
+
+    U = 2u, and U*U - 4N is square exactly when u*u - N is.  With c = U0/2
+    and below = (U0 - u_min)/2, u = c + i is test max(1, 2i) for i <= below
+    and below + i + 1 past it, u = c - j is test 2j + 1: one ascending and
+    one descending scan, run in rounds covering the tests up to 2, 6, 14,
+    ... (capped at step_cap).  The first round with a hit returns its
+    earlier hit, so a hit at test s costs at most 2s + 2 square tests.
     """
     if N < 16 or N % 2 == 0:
         raise ValueError("N must be an odd integer >= 16")
     if step_cap < 1:
         raise ValueError("step_cap must be positive")
-    four_n = 4 * N
-    u_min = math.isqrt(four_n - 1) + 1
+    u_min = math.isqrt(4 * N - 1) + 1
     u_min += u_min % 2
     start_u = max(compute_initial_u(N, x), u_min)
-
-    def candidates():
-        yield start_u
-        for k in itertools.count(2, 2):
-            yield start_u + k
-            if start_u - k >= u_min:
-                yield start_u - k
-
-    for steps, U in enumerate(candidates(), start=1):
-        t = U * U - four_n
-        s = math.isqrt(t)
-        if s * s == t:
-            return FermatReport(
-                p=(U - s) // 2, q=(U + s) // 2, steps=steps, start_u=start_u
-            )
-        if steps >= step_cap:
-            break
+    c, below = start_u // 2, (start_u - u_min) // 2
+    up = down = limit = 0  # tests made above c (from c) and below it
+    while limit < step_cap:
+        limit = min(2 * limit + 2, step_cap)
+        d = min(below, (limit - 1) // 2)
+        rise = _scan_classic(N, c + up, limit - d - up)
+        fall = _scan_classic(N, c - 1 - down, d - down, -1)
+        hits = [(2 * (c - fall[0]) + 1, fall[0])] if fall else []
+        if rise:
+            i = rise[0] - c
+            hits.append((max(1, 2 * i) if i <= below else below + i + 1, rise[0]))
+        if hits:
+            steps, u = min(hits)
+            v = math.isqrt(u * u - N)
+            return FermatReport(p=u - v, q=u + v, steps=steps, start_u=start_u)
+        up, down = limit - d, d
     raise Exhausted(f"no square within {step_cap} tests for N={N}, x={x}", step_cap)

@@ -307,6 +307,11 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(ntheory.sieve_primes(_TRIAL_LIMIT))
 
 
+@functools.cache
+def _trial_product() -> int:
+    return math.prod(_trial_primes())
+
+
 def enumerate_residues(n: int) -> TrialRecord | None:
     """Enumerate candidate residues x0 in [0, B) for _MODULUS_COUNT moduli B
     and run the residue stage on each; B is about n**(1/6), so this realizes
@@ -339,8 +344,9 @@ def _split(n: int, fermat_cap: int) -> TrialRecord | None:
     """The record of the first stage that splits the composite n, or None
     when every stage fails.  The stages, in order:
 
-    1. trial division by the first prime up to _TRIAL_LIMIT that divides n
-       (steps: the index of that prime, as no smaller prime divides n);
+    1. trial division: the least prime up to _TRIAL_LIMIT that divides n,
+       read off one gcd of n with the product of those primes (steps: the
+       index of that prime, as no smaller prime divides n);
     2. perfect powers, n = r**k split as r * r**(k-1) (steps: the exponents
        tried), only at the k with _TRIAL_LIMIT**k < n: a part that gets
        here has no prime factor up to _TRIAL_LIMIT;
@@ -348,11 +354,11 @@ def _split(n: int, fermat_cap: int) -> TrialRecord | None:
     4. the residue enumeration (enumerate_residues).
     """
     t0 = time.perf_counter()
-    for tried, p in enumerate(_trial_primes(), start=1):
-        if p * p > n:
-            break
-        if n % p == 0:
-            return _record(n, p, t0, Method.TRIAL_DIVISION, tried)
+    g = math.gcd(n, _trial_product())
+    if g > 1:
+        for tried, p in enumerate(_trial_primes(), start=1):
+            if g % p == 0:
+                return _record(n, p, t0, Method.TRIAL_DIVISION, tried)
     k = 2
     while _TRIAL_LIMIT**k < n:
         r = ntheory.iroot(n, k)

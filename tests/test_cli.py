@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import factorlab
+from factorlab import harness
 from factorlab.cli import main
 
 
@@ -96,6 +102,16 @@ def test_factor_pipeline_method(capsys):
     # the residue stage's own record: B = 5, x0 = 1 is the first residue
     # enumerated, and its first lattice root recovers 103
     assert (rec["B"], rec["x0"], rec["y0"]) == ("5", "1", "1")
+    assert rec["method"] == "COPPERSMITH" and rec["steps"] == "1"
+
+
+def test_factor_pipeline_method_past_the_first_modulus(capsys):
+    code, out, _ = run_cli(capsys, "factor", "1095", "--method", "pipeline")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "1095 = 15 * 73"
+    rec = json.loads(lines[1])
+    assert (rec["B"], rec["x0"], rec["y0"]) == ("7", "3", "5")
     assert rec["method"] == "COPPERSMITH" and rec["steps"] == "1"
 
 
@@ -211,6 +227,40 @@ def test_experiment_pipeline_failure_exit_code(tmp_path, capsys):
     assert [(rec["N"], rec["p"], rec["q"], rec["method"]) for rec in failed] == [
         ("40571", "1", "40571", "X_SWEEP")
     ]
+
+
+@pytest.mark.parametrize("name", ["missing/records.jsonl", "."])
+def test_experiment_unwritable_out_exits_before_any_trial(
+    tmp_path, capsys, monkeypatch, name
+):
+    # a missing directory, or a directory as the file: exit 1 with the
+    # error on stderr, no trial run and no file written
+    monkeypatch.setattr(harness, "experiment_run", lambda *a: pytest.fail("ran"))
+    out_path = tmp_path / name
+    code, out, err = run_cli(
+        capsys, "experiment", "--bits", "16", "--count", "2", "--seed", "0",
+        "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert str(out_path) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gen_into_a_closed_pipe_exits_quietly():
+    # the reader stops after one line: exit 1, no traceback on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(factorlab.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "factorlab.cli", "gen", "--bits", "20",
+         "--count", "20000", "--seed", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    line = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert json.loads(line)["N"] == "775499"
+    assert err == b""
 
 
 def test_bound_scan_table(capsys):

@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorlab import ntheory
+from factorlab import fermat, ntheory
 from factorlab.fermat import (
     DegenerateDenominator,
     Exhausted,
@@ -140,6 +142,54 @@ def test_strided_scan_crosses_vector_window_boundary():
     assert _scan_classic(N, u0, hit[1] - 1, stride) is None
 
 
+def plain_scan(N, u0, cap, stride):
+    """Reference for a scan of either direction: one exact square test per
+    u = u0, u0+stride, ..., no filter and no window."""
+    for k in range(cap):
+        u = u0 + stride * k
+        t = u * u - N
+        if math.isqrt(t) ** 2 == t:
+            return u, k + 1
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 1 << 20) | st.integers((1 << 30) - (1 << 16), (1 << 30) + (1 << 16)),
+    st.integers(0, 1 << 13),
+    st.sampled_from([-1, -7]) | st.integers(-60, -1),
+    st.integers(0, 200),
+    st.integers(0, 59),
+    st.integers(0, 400),
+)
+def test_descending_scan_is_the_plain_scan(half_d, g, stride, k, r, cap):
+    # N = d*e with u = (d + e)/2 = d + g; start k class members (or, for
+    # r > 0, off the class) above u, and stop at ceil(sqrt(N))
+    d = 2 * half_d + 1
+    N, u = d * (d + 2 * g), d + g
+    u0 = u - stride * k + r % -stride
+    cap = min(cap, (u0 - (math.isqrt(N - 1) + 1)) // -stride + 1)
+    assert _scan_classic(N, u0, cap, stride) == plain_scan(N, u0, cap, stride)
+
+
+@pytest.mark.parametrize("stride", [-1, -7])
+def test_descending_scan_from_above_the_vector_window(stride):
+    # the scan starts above 2**31, so it runs the big-int loop, and its hit
+    # lies below 2**31; a start below 2**31 runs the int64 window instead.
+    # u_hit is the least u with u*u >= N, so the scan ends at the hit
+    m = 1 << 31
+    p = ntheory.next_prime(m - 40_000)
+    q = ntheory.next_prime(m + 30_000)
+    N, u_hit = p * q, (p + q) // 2
+    assert u_hit < m and u_hit == math.isqrt(N - 1) + 1
+    for u0 in (m + 2_000, m - 1_000):
+        u0 -= (u0 - u_hit) % -stride
+        cap = (u0 - u_hit) // -stride + 1
+        hit = _scan_classic(N, u0, cap, stride)
+        assert hit == plain_scan(N, u0, cap, stride) == (u_hit, cap)
+        assert _scan_classic(N, u0, cap - 1, stride) is None
+
+
 def test_residue_class_fermat():
     # 11639 = 103 * 113: u = 108 = 3 (mod 5) is the first class member
     assert residue_class_fermat(11639, 3, 5, 114) == FermatReport(103, 113, 1, 108)
@@ -189,6 +239,44 @@ def test_compute_initial_u_is_even():
         if f + x <= 0:
             continue
         assert compute_initial_u(N, x) % 2 == 0
+
+
+def reference_initial_u(N, x):
+    """compute_initial_u's estimate in exact rationals, rounded half up and
+    then moved to the nearest even integer."""
+    r = math.isqrt(N)
+    F = math.isqrt(math.isqrt(N << 64))
+    if (F >> 16) + x <= 0:
+        raise DegenerateDenominator(f"iroot(N,4) + x = {(F >> 16) + x} <= 0")
+    f = Fraction(F, 1 << 16)
+    value = 2 * r + 2 * f * x - (2 * r * x + f * x * x) / (f + x)
+    u0 = math.floor(value + Fraction(1, 2))
+    if u0 % 2:
+        u0 += 1 if value >= u0 else -1
+    return u0
+
+
+def initial_u_outcome(fn, N, x):
+    try:
+        return fn(N, x)
+    except DegenerateDenominator as exc:
+        return str(exc)
+
+
+def test_compute_initial_u_is_the_rational_estimate_small():
+    for N in range(16, 3000):
+        for x in range(-12, 13):
+            assert initial_u_outcome(compute_initial_u, N, x) == initial_u_outcome(
+                reference_initial_u, N, x
+            ), (N, x)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.integers(16, 1 << 400), st.integers(-(1 << 20), 1 << 20))
+def test_compute_initial_u_is_the_rational_estimate(N, x):
+    assert initial_u_outcome(compute_initial_u, N, x) == initial_u_outcome(
+        reference_initial_u, N, x
+    )
 
 
 def test_compute_initial_u_degenerate():
@@ -308,3 +396,103 @@ def test_shifted_fermat_exhausts():
     with pytest.raises(Exhausted):
         # x far off for a balanced instance: cap must trip
         shifted_fermat(1097395555379, 5000, 4)
+
+
+def reference_shifted_fermat(N, x, step_cap):
+    """The alternating scalar loop: one exact square test per candidate U0,
+    U0+2, U0-2, U0+4, ..., candidates below u_min skipped."""
+    four_n = 4 * N
+    u_min = math.isqrt(four_n - 1) + 1
+    u_min += u_min % 2
+    start_u = max(compute_initial_u(N, x), u_min)
+
+    def candidates():
+        yield start_u
+        for k in itertools.count(2, 2):
+            yield start_u + k
+            if start_u - k >= u_min:
+                yield start_u - k
+
+    for steps, U in enumerate(candidates(), start=1):
+        t = U * U - four_n
+        s = math.isqrt(t)
+        if s * s == t:
+            return FermatReport((U - s) // 2, (U + s) // 2, steps, start_u)
+        if steps >= step_cap:
+            break
+    raise Exhausted(f"no square within {step_cap} tests for N={N}, x={x}", step_cap)
+
+
+def shifted_outcome(fn, N, x, cap):
+    try:
+        return fn(N, x, cap)
+    except Exhausted as exc:
+        return "Exhausted", str(exc), exc.steps
+    except DegenerateDenominator as exc:
+        return "DegenerateDenominator", str(exc)
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    st.integers(2, 1 << 20)
+    | st.integers((1 << 30) - (1 << 20), (1 << 30) + (1 << 20))
+    | st.integers(1 << 40, 1 << 60),
+    st.integers(0, 1 << 13),
+    st.integers(-40, 40),
+    st.integers(1, 4096),
+)
+# the hit is the last ascending test that alternates with a descending one
+@example(half_d=1212, g=189, x=3, cap=4096)
+@example(half_d=1020, g=237, x=4, cap=4096)
+def test_shifted_fermat_is_the_alternating_loop(half_d, g, x, cap):
+    # N = d*e with (d + e)/2 = d + g: the estimate can sit above or below
+    # the hit, or at u_min (one-sided), and N crosses 2**62
+    d = 2 * half_d + 1
+    N = d * (d + 2 * g)
+    expected = shifted_outcome(reference_shifted_fermat, N, x, cap)
+    assert shifted_outcome(shifted_fermat, N, x, cap) == expected
+    if isinstance(expected, FermatReport) and expected.steps > 1:
+        # one test fewer exhausts at the cap, with nothing scanned past it
+        cap = expected.steps - 1
+        assert shifted_outcome(shifted_fermat, N, x, cap) == shifted_outcome(
+            reference_shifted_fermat, N, x, cap
+        )
+
+
+def test_shifted_fermat_early_descending_hit_bounded_cost(monkeypatch):
+    # the hit lies 18529 tests into the alternation, below the start: the
+    # rounds stop the ascending scan near it instead of running to the cap
+    p = ntheory.next_prime(1 << 69)
+    q = ntheory.next_prime(p + (1 << 52))
+    counts = []
+
+    def counting_scan(N, u0, step_cap, stride=1):
+        counts.append(step_cap)
+        return _scan_classic(N, u0, step_cap, stride)
+
+    monkeypatch.setattr(fermat, "_scan_classic", counting_scan)
+    rep = shifted_fermat(p * q, 92682)
+    assert (rep.p, rep.q, rep.steps) == (p, q, 18529)
+    assert p + q < rep.start_u
+    assert sum(counts) <= 2 * rep.steps + 2
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(2, 1 << 20) | st.integers((1 << 30) - (1 << 20), 1 << 40),
+    st.integers(0, 1 << 14),
+    st.integers(1, 4096),
+)
+def test_one_sided_shifted_search_is_the_classic_search(half_d, g, cap):
+    # at x = 0 the estimate 2*isqrt(N) lies at or below u_min, so the shifted
+    # search only ascends, from 2*ceil(sqrt(N)), as fermat_factor does
+    d = 2 * half_d + 1
+    N = d * (d + 2 * g)
+    shifted = shifted_outcome(shifted_fermat, N, 0, cap)
+    try:
+        rep = fermat_factor(N, cap)
+    except Exhausted as exc:
+        assert shifted[0] == "Exhausted" and shifted[2] == exc.steps
+        return
+    assert (shifted.p, shifted.q, shifted.steps) == (rep.p, rep.q, rep.steps)
+    assert shifted.start_u == 2 * rep.start_u

@@ -334,6 +334,38 @@ def test_factor_auto_pipeline_stage():
     assert split.margin_bits == 0.003430091702320226 and split.success
 
 
+def test_enumerate_residues_past_the_first_modulus():
+    # 1095 = 15 * 73: the first modulus, 3, divides P0 = isqrt(1095) = 33
+    # and every residue of the next one, 5, fails, so B = 7 splits it
+    rec = harness.enumerate_residues(1095)
+    assert (rec.N, rec.p, rec.q, rec.B, rec.x0, rec.y0) == (1095, 15, 73, 7, 3, 5)
+    assert (rec.method, rec.steps) == (Method.COPPERSMITH, 1)
+    assert rec.margin_bits == 1.5285211661518963 and rec.success
+    # 1090 is even, so there is no band: the x-sweep finds 2
+    rec = harness.enumerate_residues(1090)
+    assert (rec.N, rec.p, rec.q, rec.B, rec.x0, rec.y0) == (1090, 2, 545, 5, 4, 2)
+    assert (rec.method, rec.steps) == (Method.X_SWEEP, 15)
+    assert rec.margin_bits == 0.8812853965915748 and rec.success
+
+
+def test_trial_division_is_the_least_prime_factor():
+    # the gcd with the primes' product gives what dividing by each prime in
+    # turn gives: the least prime factor up to 10^4 and its index
+    primes = ntheory.sieve_primes(10_000)
+    products = [10007 * 10009, 65537 * 99991, 10007**3, 2 * 10007, 9973 * 10007]
+    for n in [*range(4, 20_000), *products]:
+        if ntheory.is_prime(n):
+            continue
+        least = next((p for p in primes if n % p == 0), None)
+        rec = harness._split(n, 1)
+        if least is None:
+            assert rec is None or rec.method != Method.TRIAL_DIVISION
+        else:
+            assert (rec.p, rec.method, rec.steps) == (
+                least, Method.TRIAL_DIVISION, primes.index(least) + 1
+            )
+
+
 def test_factor_auto_incomplete_flagged(monkeypatch):
     # every stage fails: the square search is capped and the residue
     # enumeration finds nothing
