@@ -2,9 +2,10 @@
 restriction to one residue class of u, and the shifted-center variant with
 exact cycle accounting.
 
-Every search runs on one scan kernel, _scan_classic, and uses integer
-arithmetic only.  All searches count every square test performed ("steps"),
-so measured costs can be compared against the predicted cycle counts.
+Every search runs on one scan kernel, _scan_classic, a loop over numpy
+windows of u that is exact at every size.  All searches count every square
+test performed ("steps"), so measured costs can be compared against the
+predicted cycle counts.
 """
 
 from __future__ import annotations
@@ -14,20 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ntheory import isqrt
+from .ntheory import is_perfect_square, isqrt
 
 DEFAULT_STEP_CAP = 1 << 20
 
-# u*u stays inside int64 for the vectorized window as long as u < 2**31.
-_VECTOR_U_LIMIT = 1 << 31
 _WINDOW_START = 256
 _WINDOW_MAX = 1 << 16
+# int64 arithmetic gives t = u*u - N exactly while u and t are below this
+_EXACT = 1 << 63
 
 # squares mod 64 (bitmask filter: only ~19% of residues survive)
 _SQ64 = np.zeros(64, dtype=bool)
 for _i in range(64):
     _SQ64[(_i * _i) & 63] = True
-_SQ64_PY = bytes(1 if _SQ64[_i] else 0 for _i in range(64))
 
 
 class Exhausted(RuntimeError):
@@ -65,47 +65,38 @@ def _scan_classic(
 
     stride may be negative (a descending scan); every u scanned must keep
     u*u >= N.  Returns (u_hit, steps) or None when step_cap tests all fail.
-    Uses an int64 numpy window while its larger end stays below 2**31, then
-    an exact big-int loop.  Every hit is re-verified in exact integer
-    arithmetic.
+    The u run in numpy windows.  While the larger end of a window and its
+    t = u*u - N stay below 2**63, int64 arithmetic (wrapping mod 2**64)
+    gives every t exactly, and a mod-64 filter then a float sqrt with a +-1
+    check test them all.  Otherwise the filter reads t mod 64 off u mod 64,
+    exact at any size.  Every float hit and every survivor of that filter
+    gets an exact big-int square test.
     """
+    n64 = (N + _EXACT) % (2 * _EXACT) - _EXACT  # N mod 2**64, signed
     steps = 0
     u = u0
     window = _WINDOW_START
-    while steps < step_cap and max(u, u + stride * window) < _VECTOR_U_LIMIT:
+    while steps < step_cap:
         w = min(window, step_cap - steps)
-        us = np.arange(u, u + stride * w, stride, dtype=np.int64)
-        ts = us * us - N
-        pos = np.flatnonzero(_SQ64[ts & 63])
-        if pos.size:
-            cand = ts[pos]
-            ss = np.rint(np.sqrt(cand.astype(np.float64))).astype(np.int64)
-            ok = (ss * ss == cand) | ((ss + 1) ** 2 == cand) | ((ss - 1) ** 2 == cand)
-            hits = pos[ok]
-            if hits.size:
-                i = int(hits[0])
-                u_hit = u + stride * i
-                t = u_hit * u_hit - N  # exact big-int recheck of the vector hit
-                s = math.isqrt(t)
-                assert s * s == t
+        top = max(u, u + stride * (w - 1))
+        if top < _EXACT and top * top - N < _EXACT:
+            us = np.arange(u, u + stride * w, stride, dtype=np.int64)
+            ts = us * us - n64
+            pos = np.flatnonzero(_SQ64[ts & 63])
+            t = ts[pos]
+            s = np.rint(np.sqrt(t.astype(np.float64))).astype(np.int64)
+            pos = pos[(s * s == t) | ((s + 1) ** 2 == t) | ((s - 1) ** 2 == t)]
+        else:
+            um = (u % 64 + stride % 64 * np.arange(w, dtype=np.int64)) & 63
+            pos = np.flatnonzero(_SQ64[(um * um - (N & 63)) & 63])
+        # a float-checked hit or a filter survivor: exact big-int square test
+        for i in pos.tolist():
+            u_hit = u + stride * i
+            if is_perfect_square(u_hit * u_hit - N) is not None:
                 return u_hit, steps + i + 1
         steps += w
         u += stride * w
         window = min(window * 2, _WINDOW_MAX)
-    # big-int fallback (u no longer fits the int64 window); t steps by
-    # (u+stride)^2 - u^2 = inc, and inc by 2*stride^2
-    t = u * u - N
-    inc = 2 * stride * u + stride * stride
-    inc2 = 2 * stride * stride
-    while steps < step_cap:
-        steps += 1
-        if _SQ64_PY[t & 63]:
-            s = math.isqrt(t)
-            if s * s == t:
-                return u, steps
-        t += inc
-        inc += inc2
-        u += stride
     return None
 
 
@@ -193,7 +184,9 @@ def shifted_fermat(N: int, x: int, step_cap: int = DEFAULT_STEP_CAP) -> FermatRe
     and below = (U0 - u_min)/2, u = c + i is test max(1, 2i) for i <= below
     and below + i + 1 past it, u = c - j is test 2j + 1: one ascending and
     one descending scan, run in rounds covering the tests up to 2, 6, 14,
-    ... (capped at step_cap).  The first round with a hit returns its
+    ... (capped at step_cap).  Each round runs the descending scan first,
+    and a hit there at c - j stops the ascending scan at i = j, the last
+    u = c + i that comes before it.  The first round with a hit returns its
     earlier hit, so a hit at test s costs at most 2s + 2 square tests.
     """
     if N < 16 or N % 2 == 0:
@@ -208,14 +201,14 @@ def shifted_fermat(N: int, x: int, step_cap: int = DEFAULT_STEP_CAP) -> FermatRe
     while limit < step_cap:
         limit = min(2 * limit + 2, step_cap)
         d = min(below, (limit - 1) // 2)
-        rise = _scan_classic(N, c + up, limit - d - up)
+        # a descending hit c - j is test 2j + 1; c + i comes before it iff i <= j
         fall = _scan_classic(N, c - 1 - down, d - down, -1)
-        hits = [(2 * (c - fall[0]) + 1, fall[0])] if fall else []
-        if rise:
-            i = rise[0] - c
-            hits.append((max(1, 2 * i) if i <= below else below + i + 1, rise[0]))
-        if hits:
-            steps, u = min(hits)
+        j = c - fall[0] if fall else limit
+        rise = _scan_classic(N, c + up, min(limit - d, j + 1) - up)
+        if rise or fall:
+            u = (rise or fall)[0]
+            i = u - c  # max(2i, 1 - 2i): max(1, 2i) for i >= 0, 2j + 1 for i = -j
+            steps = below + i + 1 if i > below else max(2 * i, 1 - 2 * i)
             v = math.isqrt(u * u - N)
             return FermatReport(p=u - v, q=u + v, steps=steps, start_u=start_u)
         up, down = limit - d, d

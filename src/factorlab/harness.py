@@ -70,17 +70,22 @@ class SemiprimeSpec:
 
 @dataclass
 class TrialRecord:
-    """One experiment outcome; integer fields serialize as decimal strings."""
+    """One experiment outcome; integer fields serialize as decimal strings.
+
+    B, x0, y0 and margin_bits are None (JSON null) on the records of stages
+    that have no residue: trial division, perfect powers, the square
+    searches and the degenerate center.
+    """
 
     N: int
     p: int
     q: int
-    B: int
-    x0: int
-    y0: int
+    B: int | None
+    x0: int | None
+    y0: int | None
     method: Method
     steps: int
-    margin_bits: float
+    margin_bits: float | None
     success: bool
     elapsed_ms: float
 
@@ -94,8 +99,16 @@ class TrialRecord:
     @classmethod
     def from_json(cls, line: str) -> "TrialRecord":
         raw = json.loads(line)
-        hints = typing.get_type_hints(cls)  # each field's type parses its value
-        return cls(**{f.name: hints[f.name](raw[f.name]) for f in fields(cls)})
+        # each field's type, or an optional field's first member, parses its
+        # value; null stays None
+        parse = {
+            k: (typing.get_args(h) or (h,))[0]
+            for k, h in typing.get_type_hints(cls).items()
+        }
+        return cls(**{
+            f.name: None if raw[f.name] is None else parse[f.name](raw[f.name])
+            for f in fields(cls)
+        })
 
 
 def _splitmix64(x: int) -> int:
@@ -151,8 +164,8 @@ def gen_semiprime(spec: SemiprimeSpec) -> tuple[int, int, int]:
 
 def _record(
     N: int, p: int, t0: float, method: Method, steps: int,
-    B: int = 0, x0: int = 0, y0: int = 0, margin: float = 0.0,
-    success: bool = True,
+    B: int | None = None, x0: int | None = None, y0: int | None = None,
+    margin: float | None = None, success: bool = True,
 ) -> TrialRecord:
     p, q = sorted((p, N // p))
     return TrialRecord(

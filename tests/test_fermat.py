@@ -69,7 +69,8 @@ def test_fermat_identity_and_step_oracle_sampled():
 
 
 def test_fermat_big_int_fallback_path():
-    # u starts beyond the int64 window: exercise the big-int loop
+    # u starts above 2**33, so u*u wraps in int64, while t = u*u - N stays
+    # below 2**63: the window still gives every t exactly
     p = ntheory.next_prime((1 << 33) + 11)
     q = ntheory.next_prime(p + 2)
     N = p * q
@@ -78,8 +79,8 @@ def test_fermat_big_int_fallback_path():
 
 
 def test_fermat_crosses_vector_window_boundary():
-    # the search starts inside the int64 window and the hit lies past 2**31,
-    # so the scan must hand over mid-search without losing count
+    # the search starts below 2**31 and the hit lies past it, where u*u
+    # leaves int64 and wraps; the count runs on across the boundary
     m = 1 << 31
     p = ntheory.next_prime(m - 16_000_000)
     q = ntheory.next_prime(m + 16_000_000)
@@ -125,8 +126,8 @@ def test_strided_scan_is_the_filtered_unit_scan(half_d, g, stride, k, r, cap):
 
 
 def test_strided_scan_crosses_vector_window_boundary():
-    # the class search starts in the int64 window and its hit lies past
-    # 2**31, in the big-int loop
+    # the class search starts below 2**31 and its hit lies past it, where
+    # u*u wraps in int64
     m = 1 << 31
     p = ntheory.next_prime(m - 16_000_000)
     q = ntheory.next_prime(m + 16_000_000)
@@ -174,8 +175,8 @@ def test_descending_scan_is_the_plain_scan(half_d, g, stride, k, r, cap):
 
 @pytest.mark.parametrize("stride", [-1, -7])
 def test_descending_scan_from_above_the_vector_window(stride):
-    # the scan starts above 2**31, so it runs the big-int loop, and its hit
-    # lies below 2**31; a start below 2**31 runs the int64 window instead.
+    # the descending scan starts above 2**31 or below it and ends at its hit
+    # below 2**31; each window's larger end is its first u.
     # u_hit is the least u with u*u >= N, so the scan ends at the hit
     m = 1 << 31
     p = ntheory.next_prime(m - 40_000)
@@ -190,6 +191,88 @@ def test_descending_scan_from_above_the_vector_window(stride):
         assert _scan_classic(N, u0, cap - 1, stride) is None
 
 
+SQUARES_MOD_64 = {(i * i) % 64 for i in range(64)}
+SQRT_2_63 = math.isqrt(1 << 63)
+
+
+def per_step_scan(N, u0, cap, stride):
+    """Reference: the scan's former big-int loop, one step per u, with t
+    stepped by (u+stride)**2 - u**2, a mod-64 filter and an exact isqrt."""
+    u, t = u0, u0 * u0 - N
+    inc = 2 * stride * u0 + stride * stride
+    for steps in range(1, cap + 1):
+        if t % 64 in SQUARES_MOD_64 and math.isqrt(t) ** 2 == t:
+            return u, steps
+        t += inc
+        inc += 2 * stride * stride
+        u += stride
+    return None
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from([1 << 31, 1 << 32, 1 << 40, 1 << 63, 1 << 64]),
+    st.integers(-(1 << 12), 1 << 12),
+    st.integers(0, 1 << 10)
+    | st.integers(SQRT_2_63 - (1 << 17), SQRT_2_63 + (1 << 17))
+    | st.integers(0, 1 << 45),
+    st.sampled_from([1, 7, None]),
+    st.booleans(),
+    st.integers(0, 600),
+    st.integers(0, 1 << 20),
+    st.integers(1, 2000),
+)
+# u crosses 2**63 up and down; t crosses 2**63 in the first window, up (at
+# stride 1) and down (at stride -7); N near 2**128 at the prime stride
+@example(1 << 63, 64, 1 << 40, 1, False, 600, 0, 2000)
+@example(1 << 63, -64, 1 << 40, 1, True, 600, 0, 2000)
+@example(1 << 40, 0, SQRT_2_63 + (1 << 15), 1, False, 200, 0, 2000)
+@example(1 << 40, 0, SQRT_2_63 - (1 << 15), 7, True, 30, 0, 2000)
+@example(1 << 64, 5, 1 << 44, None, False, 50, 3, 2000)
+def test_scan_is_the_per_step_loop(base, offset, v, stride, descending, k, r, cap):
+    # a hit planted at u = base + offset: N = (u - v)(u + v).  u runs across
+    # 2**31 and 2**63 (N up to 2**128); near 2**40 with v near 2**31.5, t
+    # crosses 2**63 inside one window.  stride None is the prime next to
+    # N**(1/6), as the band search steps; the start is k strides (r off the
+    # class) before the hit
+    u = base + offset
+    v = min(v, u - 1)
+    N = u * u - v * v
+    stride = stride or ntheory.next_prime(ntheory.iroot(N, 6))
+    u_min = math.isqrt(N - 1) + 1
+    if descending:
+        u0 = u + stride * k + r % stride
+        cap = min(cap, (u0 - u_min) // stride + 1)
+        stride = -stride
+    else:
+        u0 = max(u_min, u - stride * k - r % stride)
+    assert _scan_classic(N, u0, cap, stride) == per_step_scan(N, u0, cap, stride)
+
+
+def test_scan_hit_with_t_past_the_int64_range():
+    # u is near 2**40, but t = u*u - N = ((q - p)/2)**2 lies between 2**63
+    # and 2**64, where int64 would wrap it negative: the window tests the
+    # filter's survivors exactly instead
+    p = ntheory.next_prime(1 << 40)
+    q = ntheory.next_prime(p + 7 * 10**9)
+    N, u = p * q, (p + q) // 2
+    assert 1 << 63 < u * u - N < 1 << 64
+    assert _scan_classic(N, u - 10, 100) == (u, 11)
+    assert _scan_classic(N, u + 10, 100, -1) == (u, 11)
+
+
+def test_fermat_past_the_former_int64_limit():
+    # 64-bit N with u from above 2**31, and a 96-bit near-square whose t
+    # passes 2**63 mid-scan; both appear as console-script checks
+    assert fermat_factor(12264680645046139049) == FermatReport(
+        3500000011, 3504194459, 628, 3502096608
+    )
+    N = 39615791359076495949057618601
+    rep = fermat_factor(N)
+    assert (rep.p, rep.q, rep.steps) == (199032865766443, 199041455824507, 46342)
+    assert rep.start_u**2 - N < 1 << 63 < (rep.p + rep.q) ** 2 // 4 - N
+
+
 def test_residue_class_fermat():
     # 11639 = 103 * 113: u = 108 = 3 (mod 5) is the first class member
     assert residue_class_fermat(11639, 3, 5, 114) == FermatReport(103, 113, 1, 108)
@@ -201,7 +284,7 @@ def test_residue_class_fermat():
     with pytest.raises(Exhausted) as err:
         residue_class_fermat(11639, 0, 5, 109)
     assert err.value.steps == 0
-    # 64-bit N: the big-int loop, steps counts class members up to the hit
+    # 64-bit N: u above 2**32, steps counts class members up to the hit
     p = ntheory.next_prime((1 << 32) + 7)
     q = ntheory.next_prime(p + (1 << 20))
     N, B = p * q, 1009
@@ -461,7 +544,9 @@ def test_shifted_fermat_is_the_alternating_loop(half_d, g, x, cap):
 
 def test_shifted_fermat_early_descending_hit_bounded_cost(monkeypatch):
     # the hit lies 18529 tests into the alternation, below the start: the
-    # rounds stop the ascending scan near it instead of running to the cap
+    # rounds stop the ascending scan near it instead of running to the cap,
+    # and the last round's descending hit stops its ascending scan at the
+    # last u that comes before the hit
     p = ntheory.next_prime(1 << 69)
     q = ntheory.next_prime(p + (1 << 52))
     counts = []
@@ -475,6 +560,7 @@ def test_shifted_fermat_early_descending_hit_bounded_cost(monkeypatch):
     assert (rep.p, rep.q, rep.steps) == (p, q, 18529)
     assert p + q < rep.start_u
     assert sum(counts) <= 2 * rep.steps + 2
+    assert sum(counts) == 25_647
 
 
 @settings(deadline=None, max_examples=200)
