@@ -3,7 +3,9 @@ restriction to one residue class of u, and the shifted-center variant with
 exact cycle accounting.
 
 Every search runs on one scan kernel, _scan_classic, a loop over numpy
-windows of u that is exact at every size.  All searches count every square
+windows of u that is exact at every size: int64 arithmetic while u and
+t = u*u - N fit, a square-residue sieve past that (Knuth, TAOCP vol. 2,
+4.5.4; McKee, Math. Comp. 1999).  All searches count every square
 test performed ("steps"), so measured costs can be compared against the
 predicted cycle counts.
 """
@@ -28,6 +30,20 @@ _EXACT = 1 << 63
 _SQ64 = np.zeros(64, dtype=bool)
 for _i in range(64):
     _SQ64[(_i * _i) & 63] = True
+
+# sieving moduli for windows past int64 (Knuth, TAOCP vol. 2, 4.5.4): a
+# square t is a square residue mod each m, and about 1 u in 10**4 passes
+# them all.  The arrays below run k = 0..m-1 for each m in turn, 322
+# entries, with m's block at offset at; the lcm of the moduli fits in int64
+_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31)
+_LCM = math.lcm(*_MODULI)
+_AT = np.cumsum((0,) + _MODULI[:-1])
+_BLOCKS = list(zip(_AT.tolist(), _MODULI))
+_SIEVE_M = np.repeat(_MODULI, _MODULI)
+_SIEVE_AT = np.repeat(_AT, _MODULI)
+_SIEVE_K = np.arange(_SIEVE_M.size) - _SIEVE_AT
+_SIEVE_SQ = np.zeros(_SIEVE_M.size, dtype=bool)  # at + k: k is a square mod m
+_SIEVE_SQ[_SIEVE_AT + _SIEVE_K * _SIEVE_K % _SIEVE_M] = True
 
 
 class Exhausted(RuntimeError):
@@ -68,9 +84,10 @@ def _scan_classic(
     The u run in numpy windows.  While the larger end of a window and its
     t = u*u - N stay below 2**63, int64 arithmetic (wrapping mod 2**64)
     gives every t exactly, and a mod-64 filter then a float sqrt with a +-1
-    check test them all.  Otherwise the filter reads t mod 64 off u mod 64,
-    exact at any size.  Every float hit and every survivor of that filter
-    gets an exact big-int square test.
+    check test them all.  Otherwise a sieve keeps the u whose t is a square
+    residue mod each of _MODULI, read off u mod m and N mod m, exact at any
+    size.  Every float hit and every survivor of the sieve gets an exact
+    big-int square test.
     """
     n64 = (N + _EXACT) % (2 * _EXACT) - _EXACT  # N mod 2**64, signed
     steps = 0
@@ -80,16 +97,25 @@ def _scan_classic(
         w = min(window, step_cap - steps)
         top = max(u, u + stride * (w - 1))
         if top < _EXACT and top * top - N < _EXACT:
-            us = np.arange(u, u + stride * w, stride, dtype=np.int64)
-            ts = us * us - n64
+            ts = np.arange(u, u + stride * w, stride, dtype=np.int64)
+            ts *= ts  # in place: a window allocates one int64 array
+            ts -= n64
             pos = np.flatnonzero(_SQ64[ts & 63])
             t = ts[pos]
             s = np.rint(np.sqrt(t.astype(np.float64))).astype(np.int64)
             pos = pos[(s * s == t) | ((s + 1) ** 2 == t) | ((s - 1) ** 2 == t)]
         else:
-            um = (u % 64 + stride % 64 * np.arange(w, dtype=np.int64)) & 63
-            pos = np.flatnonzero(_SQ64[(um * um - (N & 63)) & 63])
-        # a float-checked hit or a filter survivor: exact big-int square test
+            # t mod m at u + stride*k repeats with period m in k: one period
+            # per modulus, ANDed into each run of m consecutive k (keep runs
+            # past w so that the last run is whole)
+            um = (u % _LCM + stride % _LCM * _SIEVE_K) % _SIEVE_M
+            ok = _SIEVE_SQ[_SIEVE_AT + (um * um - N % _LCM) % _SIEVE_M]
+            keep = np.ones(w + max(_MODULI), dtype=bool)
+            for at, m in _BLOCKS:
+                rows = keep[: (w // m + 1) * m].reshape(-1, m)
+                rows &= ok[at : at + m]
+            pos = np.flatnonzero(keep[:w])
+        # a float-checked hit or a sieve survivor: exact big-int square test
         for i in pos.tolist():
             u_hit = u + stride * i
             if is_perfect_square(u_hit * u_hit - N) is not None:

@@ -273,6 +273,76 @@ def test_fermat_past_the_former_int64_limit():
     assert rep.start_u**2 - N < 1 << 63 < (rep.p + rep.q) ** 2 // 4 - N
 
 
+# strides of +-1, strides sharing a factor with 63 or 65, and the odd sieve
+# moduli themselves, where u mod m stays fixed across a window
+SIEVE_STRIDES = [1, 3, 5, 7, 13, 11, 17, 19, 23, 29, 31]
+# caps past the window doublings 256, 512, ..., 65536 (windows end at 256,
+# 768, ..., 65280, 130816); none is a multiple of a sieve modulus
+SIEVE_LONG_CAPS = [769, 7937, 65281, 70001]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([1 << 40, (1 << 63) + (1 << 22), 1 << 64, 1 << 100]),
+    st.integers(0, 1 << 20),
+    st.integers(0, 1 << 10) | st.integers(1 << 33, 1 << 38),
+    st.sampled_from(SIEVE_STRIDES),
+    st.booleans(),
+    st.integers(0, 300) | st.sampled_from(SIEVE_LONG_CAPS),
+    st.integers(0, 30),
+    st.integers(1, 3000) | st.sampled_from(SIEVE_LONG_CAPS),
+)
+@example(1 << 64, 7, 5, 1, False, 65281, 0, 70001)
+@example(1 << 40, 3, 1 << 35, 13, True, 7937, 0, 7937)
+def test_sieved_scan_is_the_per_u_square_test(base, offset, v, stride, descending, k, r, cap):
+    # N >= 2**64 with a square planted at u = base + offset, k strides (r
+    # off the class) from the start, at most 2**22 away.  Every window
+    # is sieved: its u stay above 2**63, or, near 2**40, v >= 2**33 keeps
+    # t = u*u - N >= 2**63 at every u scanned
+    u = base + offset
+    if u < 1 << 63:
+        v |= 1 << 33
+    N = u * u - v * v
+    assert N >= 1 << 64
+    u_min = math.isqrt(N - 1) + 1
+    if descending:
+        u0 = u + stride * k + r % stride
+        cap = min(cap, (u0 - u_min) // stride + 1)
+        stride = -stride
+    else:
+        u0 = max(u_min, u - stride * k - r % stride)
+    u_low = min(u0, u0 + stride * (cap - 1))
+    assert u_low >= 1 << 63 or u_low * u_low - N >= 1 << 63
+    expected = None
+    for i in range(cap):
+        ui = u0 + stride * i
+        if ntheory.is_perfect_square(ui * ui - N) is not None:
+            expected = ui, i + 1
+            break
+    assert _scan_classic(N, u0, cap, stride) == expected
+
+
+@pytest.mark.parametrize("m", fermat._MODULI)
+def test_sieve_keeps_t_divisible_by_each_modulus(m):
+    # v = 0 (mod m), so the planted t = v*v is 0 (mod m): the sieve must
+    # keep residue 0 of every modulus.  u > 2**63 puts every window past
+    # the int64 range; the hit lies in the first, third or a later window
+    u = (1 << 64) + 1000003
+    v = m * ((1 << 40) // m + 17)
+    N = u * u - v * v
+    for stride, k in ((1, 0), (1, 1000), (-1, 1000), (-m, 300), (m, 2000)):
+        u0 = u - stride * k
+        cap = k + 50
+        expected = None
+        for i in range(cap):
+            ui = u0 + stride * i
+            if ntheory.is_perfect_square(ui * ui - N) is not None:
+                expected = ui, i + 1
+                break
+        assert expected == (u, k + 1)
+        assert _scan_classic(N, u0, cap, stride) == expected, (stride, k)
+
+
 def test_residue_class_fermat():
     # 11639 = 103 * 113: u = 108 = 3 (mod 5) is the first class member
     assert residue_class_fermat(11639, 3, 5, 114) == FermatReport(103, 113, 1, 108)

@@ -150,19 +150,31 @@ def test_residue_stage_finds_a_factor_where_the_sweep_did(bits, seed, balance, h
             assert rec.steps <= (u_max - u0) // rec.B + 1
 
 
-def test_run_pipeline_80bit_balanced_within_budget():
-    # worst of seeds 0-4 over two runs on one 2-core x86-64 host, Python
-    # 3.11: 2.64 s (seed 2, 5.0M square tests) when the square scan ran a
-    # per-step big-int loop past u = 2**31, 1.09 s (seed 0, 3.2M tests) on
-    # the window loop; the budget is 2.3x the latter
-    for seed in range(5):
-        N, p, q = gen_semiprime(SemiprimeSpec(bits=80, seed=seed))
+def balanced_trials_within_budget(bits, steps, budget):
+    """run_pipeline on the balanced seeds 0, 1, ...: each trial ends in the
+    band search after its pinned number of square tests, within budget s."""
+    for seed, expected in enumerate(steps):
+        N, p, q = gen_semiprime(SemiprimeSpec(bits=bits, seed=seed))
         t0 = time.perf_counter()
         rec = run_pipeline(N, p)
         elapsed = time.perf_counter() - t0
         assert (rec.p, rec.q) == (p, q)
-        assert rec.method is Method.RESIDUE_FERMAT
-        assert elapsed < 2.5, (seed, elapsed)
+        assert (rec.method, rec.steps) == (Method.RESIDUE_FERMAT, expected)
+        assert elapsed < budget, (seed, elapsed)
+
+
+def test_run_pipeline_80bit_balanced_within_budget():
+    # worst of seeds 0-4 on one 2-core x86-64 host, Python 3.11: 0.91 s
+    # (seed 0) when windows past the int64 range gave every u passing a
+    # mod-64 filter a big-int isqrt, 0.06 s (seed 2) with the residue sieve
+    balanced_trials_within_budget(80, [3221536, 2882489, 5039987, 572395, 549142], 2.5)
+
+
+def test_run_pipeline_88bit_balanced_within_budget():
+    # 19-32M square tests per trial, every window past the int64 range.
+    # Worst of seeds 0-2 on the same host: 4.7 s (seed 0) with the mod-64
+    # filter, 0.22 s (seed 2) with the residue sieve
+    balanced_trials_within_budget(88, [20188167, 18602304, 31960611], 2.5)
 
 
 def test_run_pipeline_rejects_bad_hint():
