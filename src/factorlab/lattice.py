@@ -27,9 +27,12 @@ working modulus; an h that is both independent of f and short enough
 vanishes at every in-range root outright.  One resultant Res_x(f, h) per
 reduced row (in closed form, f being linear in x) then pins the roots
 down: its integer roots (all of them, by Hensel lifting) give every y, and
-f gives x.  A box whose one lattice pass neither certifies nor finds a root
-is recentered into quadrants (bounded recursion), which buys a few bits of
-slack per level.
+f gives x.  Reduction stops at the first reduced prefix row that certifies:
+short, and with R(0) != 0 for R(y) = A^(m+1) h(-C/A, y), f = A x + C, so not
+a multiple of f; that row alone is then read (Howgrave-Graham's lemma needs
+a short lattice vector, not a reduced basis).  A box whose one lattice pass
+neither certifies nor finds a root is recentered into quadrants (bounded
+recursion), which buys a few bits of slack per level.
 Soundness is unconditional (every returned pair is verified by exact
 evaluation); a certified result's root list is complete for the box.
 """
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum, inf, ldexp, log2
 from operator import mul
+from typing import Callable
 
 from ._intpoly import Poly, bareiss_det, integer_roots, ptrim, sylvester_resultant
 from .polybuild import BilinearPoly, RootBounds, bound_margin, is_reducible
@@ -257,7 +261,10 @@ def _triangular_gram_det(b: IntegerMatrix) -> int | None:
 
 
 def lll_reduce(
-    basis: IntegerMatrix, params: ReductionParams | None = None
+    basis: IntegerMatrix,
+    params: ReductionParams | None = None,
+    *,
+    stop: Callable[[IntegerMatrix, int], bool] | None = None,
 ) -> IntegerMatrix:
     """LLL-reduce a basis of row vectors.
 
@@ -270,6 +277,14 @@ def lll_reduce(
     lattice (unimodular row transform), is size-reduced (|mu_ij| <= 1/2) and
     satisfies the Lovasz condition with the given delta, exactly.  Raises
     DependentRows if the rows are not independent.
+
+    stop, if given, is called as stop(b, k) each time the exact loop first
+    reaches row k (k = 1..n-1, in order).  At that point rows 0..k-1 of b
+    are LLL-reduced and every row of b is a lattice vector, since only
+    unimodular operations were applied; if stop returns True, b is returned
+    as it stands, a basis of the input lattice whose first k rows are
+    reduced.  A basis that took the float pass is as a rule reduced by the
+    first call already, so its calls come with little exact work between.
     """
     params = params or ReductionParams()
     _validate_matrix(basis)
@@ -310,6 +325,8 @@ def lll_reduce(
     kmax = 0
     while k < n:
         if k > kmax:
+            if stop is not None and stop(b, k):
+                return b
             kmax = k
             init_row(k)
         while True:
@@ -354,13 +371,16 @@ def integer_row_basis(rows: IntegerMatrix) -> IntegerMatrix:
                 break
             i0 = min(nz, key=lambda i: abs(mat[i][c]))
             piv = mat[i0][c]
+            zeroed = False
             for i in nz:
                 if i == i0:
                     continue
                 q = mat[i][c] // piv
                 if q:
                     mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
-            mat = [row for row in mat if any(row)]
+                    zeroed = zeroed or not any(mat[i])
+            if zeroed:
+                mat = [row for row in mat if any(row)]
             if r >= len(mat):
                 break
         nz = [i for i in range(r, len(mat)) if mat[i][c] != 0]
@@ -548,12 +568,39 @@ def _lattice_pass(
         row = [0] * D
         row[t] = n_mod * scale[t]
         gen.append(row)
+    # R(y) = A^(m+1) h(-C/A, y) for f = A x + C vanishes identically when h is
+    # a multiple of f; R(0) = sum_i h_{i,0} (-c0)^i c2^(m+1-i) is read off
+    # h's y^0 coefficients, which sit in columns (i, 0), scaled by X^i
+    r0_terms = [
+        (midx[(i, 0)], X**i, (-c0) ** i * c2 ** (m + 1 - i)) for i in range(m + 2)
+    ]
+    tested: dict[int, tuple[list[int], bool]] = {}  # id -> (row, certifies)
+    hit: IntegerMatrix = []
+
+    def certifies(b: IntegerMatrix, k: int) -> bool:
+        # a short row with R(0) != 0 is independent of f and vanishes at every
+        # root in the box; LLL replaces every row it changes, so each row
+        # object is tested once (kept alive in tested, so ids are not reused)
+        for row in b[:k]:
+            seen = tested.get(id(row))
+            if seen is None:
+                ok = (
+                    sum(map(abs, row)) < n_mod
+                    and sum(row[t] // s * w for t, s, w in r0_terms) != 0
+                )
+                seen = tested[id(row)] = (row, ok)
+            if seen[1]:
+                hit.append(row)
+                return True
+        return False
+
     # last pivot first: each row adds one coordinate, so GS norms start at the pivots
-    reduced = lll_reduce(integer_row_basis(gen)[::-1], params)
+    reduced = lll_reduce(integer_row_basis(gen)[::-1], params, stop=certifies)
     fx = [[c0, c1], [c2, c3]]  # f as a poly in x over Z[y]
     roots: set[tuple[int, int]] = set()
     saw_independent = False
-    for row in reduced:
+    # after an early stop, the certifying row alone gives the complete roots
+    for row in hit or reduced:
         # every generator's column t is a multiple of scale[t], so every row's is
         coeffs = {mn: row[t] // scale[t] for t, mn in enumerate(mons)}
         hx: list[Poly] = [

@@ -5,7 +5,7 @@ import time
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorlab import fermat, harness, ntheory, polybuild
@@ -131,6 +131,8 @@ def alternating_sweep(N, hint):
     st.sampled_from([Balance.BALANCED, Balance.UNBALANCED]),
     st.booleans(),
 )
+# twin primes 4091 * 4093: isqrt(N) = 4091 divides N
+@example(bits=24, seed=41, balance=Balance.BALANCED, hint_q=False)
 def test_residue_stage_finds_a_factor_where_the_sweep_did(bits, seed, balance, hint_q):
     N, p, q = gen_semiprime(SemiprimeSpec(bits=bits, balance=balance, seed=seed))
     hint = q if hint_q else p
@@ -143,7 +145,11 @@ def test_residue_stage_finds_a_factor_where_the_sweep_did(bits, seed, balance, h
     if rec is None:
         return
     assert rec.success and 1 < rec.p <= rec.q and rec.p * rec.q == N
-    if balance is Balance.BALANCED:
+    if balance is Balance.BALANCED and N % math.isqrt(N) == 0:
+        # the degenerate center, which run_pipeline records as the sweep's
+        # x = 0 point (as test_run_pipeline_degenerate_center pins)
+        assert (rec.method, rec.steps, rec.p) == (Method.X_SWEEP, 1, math.isqrt(N))
+    elif balance is Balance.BALANCED:
         assert rec.method is not Method.X_SWEEP
         if rec.method is Method.RESIDUE_FERMAT:
             u0, u_max = math.isqrt(N - 1) + 1, math.isqrt(9 * N // 8)

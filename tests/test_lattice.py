@@ -141,9 +141,9 @@ def test_float_pass_alone_reduces_pipeline_lattices(monkeypatch):
     captured = []
     real = lattice.lll_reduce
 
-    def spy(basis, params=None):
+    def spy(basis, params=None, **kw):
         captured.append([row[:] for row in basis])
-        return real(basis, params)
+        return real(basis, params, **kw)
 
     monkeypatch.setattr(lattice, "lll_reduce", spy)
     for bits in (40, 56):
@@ -385,9 +385,9 @@ def test_one_lattice_pass_per_box(monkeypatch, depth, passes):
     calls = []
     real = lattice.lll_reduce
 
-    def spy(basis, params=None):
+    def spy(basis, params=None, **kw):
         calls.append(len(basis))
-        return real(basis, params)
+        return real(basis, params, **kw)
 
     monkeypatch.setattr(lattice, "lll_reduce", spy)
     f, bounds = _pipeline_poly(40, 0)
@@ -406,17 +406,16 @@ def test_one_lattice_pass_per_box(monkeypatch, depth, passes):
     ids=["pipeline-40", "pipeline-56", "solver"],
 )
 def test_lattice_pass_basis_is_triangular_and_spans_the_old_lattice(monkeypatch, make):
-    generators, bases, outputs = [], [], []
+    generators, bases = [], []
     real_basis, real_lll = lattice.integer_row_basis, lattice.lll_reduce
 
     def basis_spy(rows):
         generators.append([row[:] for row in rows])
         return real_basis(rows)
 
-    def lll_spy(basis, params=None):
+    def lll_spy(basis, params=None, **kw):
         bases.append([row[:] for row in basis])
-        outputs.append(real_lll(basis, params))
-        return outputs[-1]
+        return real_lll(basis, params, **kw)
 
     monkeypatch.setattr(lattice, "integer_row_basis", basis_spy)
     monkeypatch.setattr(lattice, "lll_reduce", lll_spy)
@@ -426,7 +425,9 @@ def test_lattice_pass_basis_is_triangular_and_spans_the_old_lattice(monkeypatch,
     except LatticeFailure:
         pass
     assert len(bases) == 1
-    basis, reduced = bases[0], outputs[0]
+    # the pass may stop LLL early: reduce its basis in full to compare
+    basis = bases[0]
+    reduced = real_lll(basis)
     # square, and row k adds coordinate D-1-k to the rows before it
     D = len(basis)
     assert all(len(row) == D for row in basis)
@@ -457,9 +458,9 @@ def test_lll_first_stage_follows_the_input(monkeypatch):
     cases = []
     real_lll = lattice.lll_reduce
 
-    def lll_spy(basis, params=None):
+    def lll_spy(basis, params=None, **kw):
         cases.append(([row[:] for row in basis], params))
-        return real_lll(basis, params)
+        return real_lll(basis, params, **kw)
 
     monkeypatch.setattr(lattice, "lll_reduce", lll_spy)
     for bits in (24, 40, 56):
@@ -500,3 +501,119 @@ def test_lll_first_stage_follows_the_input(monkeypatch):
     # exact alone (24, 40 bits, solver, 25-dim), float first (56 bits),
     # and non-triangular (uniform and knapsack) all occur
     assert kinds == {(True, False), (True, True), (False, True)}
+
+
+def _solver_basis(seed):
+    """The basis the solver's top pass hands to lll_reduce."""
+    f, bounds = _solver_poly(seed)
+    captured = []
+    real = lattice.lll_reduce
+
+    def spy(basis, params=None, **kw):
+        captured.append([row[:] for row in basis])
+        return real(basis, params, **kw)
+
+    lattice.lll_reduce = spy
+    try:
+        coppersmith_bivariate(f, bounds, recenter_depth=0)
+    finally:
+        lattice.lll_reduce = real
+    return captured[0]
+
+
+def test_lll_stop_that_never_fires_sees_every_row():
+    basis = _solver_basis(3)
+    seen = []
+
+    def stop(b, k):
+        seen.append(k)
+        return False
+
+    assert lll_reduce(basis, stop=stop) == lll_reduce(basis)
+    assert seen == list(range(1, len(basis)))
+
+
+@pytest.mark.parametrize("at", [1, 6, 15])
+def test_lll_stop_returns_the_lattice_with_a_reduced_prefix(at):
+    basis = _solver_basis(3)
+    out = lll_reduce(basis, stop=lambda b, k: k == at)
+    # every row is a lattice vector and the covolume is the input's, so out
+    # spans the input lattice
+    echelon = integer_row_basis(basis)
+    assert all(_echelon_member(echelon, row) for row in out)
+    assert gram_det(out) == gram_det(basis)
+    prefix = out[:at]
+    assert check_reduction(prefix, prefix) == []
+
+
+def test_lll_stop_runs_in_the_exact_loop_after_the_float_pass(monkeypatch):
+    rng = random.Random(5)
+    basis = [[rng.randrange(-(1 << 60), 1 << 60) for _ in range(8)] for _ in range(8)]
+    events = []
+    real_float = lattice._float_pass
+
+    def float_spy(b, delta):
+        events.append("float")
+        return real_float(b, delta)
+
+    def stop(b, k):
+        events.append(k)
+        return False
+
+    monkeypatch.setattr(lattice, "_float_pass", float_spy)
+    assert lll_reduce(basis, stop=stop) == lll_reduce(basis)
+    assert events[:8] == ["float", *range(1, 8)]
+
+
+def test_early_exit_keeps_roots_and_certificates(monkeypatch):
+    # planted instances at margins -1..+6, recenter_depth 0-2: the pass that
+    # stops LLL at the first certifying prefix row returns the roots of a
+    # pass that reduces in full, and certifies whenever that one does
+    real = lattice.lll_reduce
+    fired = []
+
+    def full(basis, params=None, *, stop=None):
+        return real(basis, params)
+
+    def watched(basis, params=None, *, stop=None):
+        def spy(b, k):
+            hit = stop(b, k)
+            if hit:
+                fired.append(k)
+            return hit
+
+        return real(basis, params, stop=spy)
+
+    def solve(lll, f, bounds, depth):
+        monkeypatch.setattr(lattice, "lll_reduce", lll)
+        try:
+            res = coppersmith_bivariate(f, bounds, recenter_depth=depth)
+        except LatticeFailure:
+            return None
+        return res.roots, res.certified
+
+    rng = random.Random(1)
+    want = dict.fromkeys(range(-1, 7), 5)
+    stopped_high = []
+    while any(want.values()):
+        f, x1, y1 = planted_instance(rng, rng.randrange(18, 34))
+        base = max(abs(x1), abs(y1), 1)
+        bounds = RootBounds(base * rng.choice((1, 2, 4)), base * rng.choice((1, 2, 4)))
+        margin = bound_margin(f, bounds)
+        if max(bounds.X, bounds.Y) > 1 << 10 or want.get(math.floor(margin), 0) == 0:
+            continue
+        want[math.floor(margin)] -= 1
+        depth = sum(want.values()) % 3
+        ref = solve(full, f, bounds, depth)
+        fired.clear()
+        new = solve(watched, f, bounds, depth)
+        if ref is not None:
+            assert new is not None and new[0] == ref[0]
+            assert new[1] or not ref[1]
+        if new is not None and new[1]:
+            assert new[0] == exhaustive_roots(f, bounds)
+        if margin >= 3.5 and fired:
+            stopped_high.append(min(fired))
+    # the stop fires on high-margin instances, one of them halfway down the
+    # 16-row basis or earlier
+    assert stopped_high and min(stopped_high) <= 8
