@@ -89,6 +89,8 @@ def _cmd_factor(args) -> int:
     N = args.N
     if N < 2:
         raise ValueError("N must be >= 2")
+    if args.cap < 1:
+        raise ValueError("--cap must be >= 1")
     if args.method == "auto":
         result = harness.factor_auto(N, fermat_cap=args.cap)
         factors = " * ".join(str(f) for f in result.factors)

@@ -3,11 +3,11 @@ restriction to one residue class of u, and the shifted-center variant with
 exact cycle accounting.
 
 Every search runs on one scan kernel, _scan_classic, a loop over numpy
-windows of u that is exact at every size: int64 arithmetic while u and
-t = u*u - N fit, a square-residue sieve past that (Knuth, TAOCP vol. 2,
-4.5.4; McKee, Math. Comp. 1999).  All searches count every square
-test performed ("steps"), so measured costs can be compared against the
-predicted cycle counts.
+windows of u that is exact at every size: a square-residue sieve (Knuth,
+TAOCP vol. 2, 4.5.4; McKee, Math. Comp. 1999) keeps about 1 u in 10**4
+of each window, and each survivor gets an exact big-int square test; no
+float enters.  All searches count every square test performed ("steps"),
+so measured costs can be compared against the predicted cycle counts.
 """
 
 from __future__ import annotations
@@ -23,18 +23,11 @@ DEFAULT_STEP_CAP = 1 << 20
 
 _WINDOW_START = 256
 _WINDOW_MAX = 1 << 16
-# int64 arithmetic gives t = u*u - N exactly while u and t are below this
-_EXACT = 1 << 63
 
-# squares mod 64 (bitmask filter: only ~19% of residues survive)
-_SQ64 = np.zeros(64, dtype=bool)
-for _i in range(64):
-    _SQ64[(_i * _i) & 63] = True
-
-# sieving moduli for windows past int64 (Knuth, TAOCP vol. 2, 4.5.4): a
-# square t is a square residue mod each m, and about 1 u in 10**4 passes
-# them all.  The arrays below run k = 0..m-1 for each m in turn, 322
-# entries, with m's block at offset at; the lcm of the moduli fits in int64
+# sieving moduli (Knuth, TAOCP vol. 2, 4.5.4): a square t is a square
+# residue mod each m, and about 1 u in 10**4 passes them all.  The arrays
+# below run k = 0..m-1 for each m in turn, 322 entries, with m's block at
+# offset at; the lcm of the moduli fits in int64
 _MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31)
 _LCM = math.lcm(*_MODULI)
 _AT = np.cumsum((0,) + _MODULI[:-1])
@@ -81,42 +74,29 @@ def _scan_classic(
 
     stride may be negative (a descending scan); every u scanned must keep
     u*u >= N.  Returns (u_hit, steps) or None when step_cap tests all fail.
-    The u run in numpy windows.  While the larger end of a window and its
-    t = u*u - N stay below 2**63, int64 arithmetic (wrapping mod 2**64)
-    gives every t exactly, and a mod-64 filter then a float sqrt with a +-1
-    check test them all.  Otherwise a sieve keeps the u whose t is a square
-    residue mod each of _MODULI, read off u mod m and N mod m, exact at any
-    size.  Every float hit and every survivor of the sieve gets an exact
+    The u run in numpy windows, 256 wide and doubling to 65,536.  A sieve
+    keeps the u of a window whose t = u*u - N is a square residue mod each
+    of _MODULI, read off u mod m and N mod m in int64, exact at any size;
+    it drops only u whose t is no square, and every survivor gets an exact
     big-int square test.
     """
-    n64 = (N + _EXACT) % (2 * _EXACT) - _EXACT  # N mod 2**64, signed
+    n_lcm = N % _LCM
+    k_lcm = stride % _LCM * _SIEVE_K  # stride*k for each entry's k < m, in int64
     steps = 0
     u = u0
     window = _WINDOW_START
     while steps < step_cap:
         w = min(window, step_cap - steps)
-        top = max(u, u + stride * (w - 1))
-        if top < _EXACT and top * top - N < _EXACT:
-            ts = np.arange(u, u + stride * w, stride, dtype=np.int64)
-            ts *= ts  # in place: a window allocates one int64 array
-            ts -= n64
-            pos = np.flatnonzero(_SQ64[ts & 63])
-            t = ts[pos]
-            s = np.rint(np.sqrt(t.astype(np.float64))).astype(np.int64)
-            pos = pos[(s * s == t) | ((s + 1) ** 2 == t) | ((s - 1) ** 2 == t)]
-        else:
-            # t mod m at u + stride*k repeats with period m in k: one period
-            # per modulus, ANDed into each run of m consecutive k (keep runs
-            # past w so that the last run is whole)
-            um = (u % _LCM + stride % _LCM * _SIEVE_K) % _SIEVE_M
-            ok = _SIEVE_SQ[_SIEVE_AT + (um * um - N % _LCM) % _SIEVE_M]
-            keep = np.ones(w + max(_MODULI), dtype=bool)
-            for at, m in _BLOCKS:
-                rows = keep[: (w // m + 1) * m].reshape(-1, m)
-                rows &= ok[at : at + m]
-            pos = np.flatnonzero(keep[:w])
-        # a float-checked hit or a sieve survivor: exact big-int square test
-        for i in pos.tolist():
+        # t mod m at u + stride*k repeats with period m in k: one period
+        # per modulus, ANDed into each run of m consecutive k (keep runs
+        # past w so that the last run is whole)
+        um = (u % _LCM + k_lcm) % _SIEVE_M
+        ok = _SIEVE_SQ[_SIEVE_AT + (um * um - n_lcm) % _SIEVE_M]
+        keep = np.ones(w + max(_MODULI), dtype=bool)
+        for at, m in _BLOCKS:
+            rows = keep[: (w // m + 1) * m].reshape(-1, m)
+            rows &= ok[at : at + m]
+        for i in np.flatnonzero(keep[:w]).tolist():
             u_hit = u + stride * i
             if is_perfect_square(u_hit * u_hit - N) is not None:
                 return u_hit, steps + i + 1

@@ -388,14 +388,17 @@ def _split(n: int, fermat_cap: int) -> TrialRecord | None:
 def factor_auto(
     N: int, fermat_cap: int = fermat.DEFAULT_STEP_CAP
 ) -> Factorization:
-    """Full factorization into certified primes: each composite part is split
-    by the first stage of _split that succeeds, fermat_cap capping its
+    """Full factorization into primes: each composite part is split by the
+    first stage of _split that succeeds, fermat_cap (>= 1) capping its
     square search, and both parts are factored in turn.  product() always
     equals N; cofactor > 1 (with complete = False) holds the parts no stage
-    could split.
+    could split.  A factor below 318665857834031151167461 is a proven prime;
+    a larger one is a Baillie-PSW probable prime (ntheory.is_prime).
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    if fermat_cap < 1:
+        raise ValueError("fermat_cap must be >= 1")
     result = Factorization()
     stack = [N]
     while stack:

@@ -143,6 +143,11 @@ def test_factor_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["bogus-command"])
     assert err.value.code == 1
+    capsys.readouterr()  # drop the usage text above
+    # a cap below 1 is refused before any work, whatever N and the method
+    for argv in (["15"], ["1000000016000000063"], ["1000000007", "--method", "fermat"]):
+        code, out, err = run_cli(capsys, "factor", *argv, "--cap", "0")
+        assert (code, out, err) == (1, "", "--cap must be >= 1\n")
 
 
 def test_factor_even_fermat_rejected(capsys):

@@ -69,8 +69,8 @@ def test_fermat_identity_and_step_oracle_sampled():
 
 
 def test_fermat_big_int_fallback_path():
-    # u starts above 2**33, so u*u wraps in int64, while t = u*u - N stays
-    # below 2**63: the window still gives every t exactly
+    # u starts above 2**33, so u*u is past 2**64 while t = u*u - N stays
+    # below 2**63: a size boundary of the scan's former int64 arithmetic
     p = ntheory.next_prime((1 << 33) + 11)
     q = ntheory.next_prime(p + 2)
     N = p * q
@@ -80,7 +80,7 @@ def test_fermat_big_int_fallback_path():
 
 def test_fermat_crosses_vector_window_boundary():
     # the search starts below 2**31 and the hit lies past it, where u*u
-    # leaves int64 and wraps; the count runs on across the boundary
+    # passes 2**62; the count runs on across the boundary
     m = 1 << 31
     p = ntheory.next_prime(m - 16_000_000)
     q = ntheory.next_prime(m + 16_000_000)
@@ -127,7 +127,7 @@ def test_strided_scan_is_the_filtered_unit_scan(half_d, g, stride, k, r, cap):
 
 def test_strided_scan_crosses_vector_window_boundary():
     # the class search starts below 2**31 and its hit lies past it, where
-    # u*u wraps in int64
+    # u*u passes 2**62
     m = 1 << 31
     p = ntheory.next_prime(m - 16_000_000)
     q = ntheory.next_prime(m + 16_000_000)
@@ -176,8 +176,8 @@ def test_descending_scan_is_the_plain_scan(half_d, g, stride, k, r, cap):
 @pytest.mark.parametrize("stride", [-1, -7])
 def test_descending_scan_from_above_the_vector_window(stride):
     # the descending scan starts above 2**31 or below it and ends at its hit
-    # below 2**31; each window's larger end is its first u.
-    # u_hit is the least u with u*u >= N, so the scan ends at the hit
+    # below 2**31.  u_hit is the least u with u*u >= N, so the scan ends at
+    # the hit
     m = 1 << 31
     p = ntheory.next_prime(m - 40_000)
     q = ntheory.next_prime(m + 30_000)
@@ -223,7 +223,8 @@ def per_step_scan(N, u0, cap, stride):
     st.integers(1, 2000),
 )
 # u crosses 2**63 up and down; t crosses 2**63 in the first window, up (at
-# stride 1) and down (at stride -7); N near 2**128 at the prime stride
+# stride 1) and down (at stride -7); N near 2**128 at the prime stride.
+# These were the edges of the scan's former int64 arithmetic
 @example(1 << 63, 64, 1 << 40, 1, False, 600, 0, 2000)
 @example(1 << 63, -64, 1 << 40, 1, True, 600, 0, 2000)
 @example(1 << 40, 0, SQRT_2_63 + (1 << 15), 1, False, 200, 0, 2000)
@@ -251,8 +252,8 @@ def test_scan_is_the_per_step_loop(base, offset, v, stride, descending, k, r, ca
 
 def test_scan_hit_with_t_past_the_int64_range():
     # u is near 2**40, but t = u*u - N = ((q - p)/2)**2 lies between 2**63
-    # and 2**64, where int64 would wrap it negative: the window tests the
-    # filter's survivors exactly instead
+    # and 2**64, where a signed 64-bit t would be negative: the sieve reads
+    # t mod m off u and N alone, and its survivors get the exact test
     p = ntheory.next_prime(1 << 40)
     q = ntheory.next_prime(p + 7 * 10**9)
     N, u = p * q, (p + q) // 2
@@ -263,7 +264,8 @@ def test_scan_hit_with_t_past_the_int64_range():
 
 def test_fermat_past_the_former_int64_limit():
     # 64-bit N with u from above 2**31, and a 96-bit near-square whose t
-    # passes 2**63 mid-scan; both appear as console-script checks
+    # passes 2**63 mid-scan (the former int64 limit); both appear as
+    # console-script checks
     assert fermat_factor(12264680645046139049) == FermatReport(
         3500000011, 3504194459, 628, 3502096608
     )
@@ -283,7 +285,9 @@ SIEVE_LONG_CAPS = [769, 7937, 65281, 70001]
 
 @settings(deadline=None, max_examples=200)
 @given(
-    st.sampled_from([1 << 40, (1 << 63) + (1 << 22), 1 << 64, 1 << 100]),
+    st.sampled_from(
+        [1 << 20, 1 << 31, 1 << 40, (1 << 63) + (1 << 22), 1 << 64, 1 << 100]
+    ),
     st.integers(0, 1 << 20),
     st.integers(0, 1 << 10) | st.integers(1 << 33, 1 << 38),
     st.sampled_from(SIEVE_STRIDES),
@@ -294,16 +298,17 @@ SIEVE_LONG_CAPS = [769, 7937, 65281, 70001]
 )
 @example(1 << 64, 7, 5, 1, False, 65281, 0, 70001)
 @example(1 << 40, 3, 1 << 35, 13, True, 7937, 0, 7937)
+@example(1 << 20, 0, 3, 1, False, 300, 0, 3000)
+@example(1 << 31, 5, 1 << 10, 7, True, 65281, 0, 70001)
 def test_sieved_scan_is_the_per_u_square_test(base, offset, v, stride, descending, k, r, cap):
-    # N >= 2**64 with a square planted at u = base + offset, k strides (r
-    # off the class) from the start, at most 2**22 away.  Every window
-    # is sieved: its u stay above 2**63, or, near 2**40, v >= 2**33 keeps
-    # t = u*u - N >= 2**63 at every u scanned
+    # a square planted at u = base + offset, k strides (r off the class)
+    # from the start, at most 2**22 away.  Every window is sieved, at every
+    # size: u near 2**20, 2**31 and 2**40 with small v keeps u and t in
+    # int64, v >= 2**33 near 2**40 puts t past it, and u past 2**63 puts u
+    # past it
     u = base + offset
-    if u < 1 << 63:
-        v |= 1 << 33
+    v = min(v, u - 1)
     N = u * u - v * v
-    assert N >= 1 << 64
     u_min = math.isqrt(N - 1) + 1
     if descending:
         u0 = u + stride * k + r % stride
@@ -311,8 +316,6 @@ def test_sieved_scan_is_the_per_u_square_test(base, offset, v, stride, descendin
         stride = -stride
     else:
         u0 = max(u_min, u - stride * k - r % stride)
-    u_low = min(u0, u0 + stride * (cap - 1))
-    assert u_low >= 1 << 63 or u_low * u_low - N >= 1 << 63
     expected = None
     for i in range(cap):
         ui = u0 + stride * i
@@ -325,22 +328,22 @@ def test_sieved_scan_is_the_per_u_square_test(base, offset, v, stride, descendin
 @pytest.mark.parametrize("m", fermat._MODULI)
 def test_sieve_keeps_t_divisible_by_each_modulus(m):
     # v = 0 (mod m), so the planted t = v*v is 0 (mod m): the sieve must
-    # keep residue 0 of every modulus.  u > 2**63 puts every window past
-    # the int64 range; the hit lies in the first, third or a later window
-    u = (1 << 64) + 1000003
-    v = m * ((1 << 40) // m + 17)
-    N = u * u - v * v
-    for stride, k in ((1, 0), (1, 1000), (-1, 1000), (-m, 300), (m, 2000)):
-        u0 = u - stride * k
-        cap = k + 50
-        expected = None
-        for i in range(cap):
-            ui = u0 + stride * i
-            if ntheory.is_perfect_square(ui * ui - N) is not None:
-                expected = ui, i + 1
-                break
-        assert expected == (u, k + 1)
-        assert _scan_classic(N, u0, cap, stride) == expected, (stride, k)
+    # keep residue 0 of every modulus, with u below 2**31 and past 2**64;
+    # the hit lies in the first, third or a later window
+    for u in ((1 << 30) + 1000003, (1 << 64) + 1000003):
+        v = m * ((u >> 24) // m + 17)
+        N = u * u - v * v
+        for stride, k in ((1, 0), (1, 1000), (-1, 1000), (-m, 300), (m, 2000)):
+            u0 = u - stride * k
+            cap = k + 50
+            expected = None
+            for i in range(cap):
+                ui = u0 + stride * i
+                if ntheory.is_perfect_square(ui * ui - N) is not None:
+                    expected = ui, i + 1
+                    break
+            assert expected == (u, k + 1)
+            assert _scan_classic(N, u0, cap, stride) == expected, (u, stride, k)
 
 
 def test_residue_class_fermat():

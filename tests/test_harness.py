@@ -407,6 +407,10 @@ def test_factor_auto_incomplete_flagged(monkeypatch):
 def test_factor_auto_rejects_small():
     with pytest.raises(ValueError):
         factor_auto(1)
+    # a cap below 1 is refused up front, not partway through some N's run
+    for N in (15, 1000000016000000063):
+        with pytest.raises(ValueError, match="fermat_cap"):
+            factor_auto(N, fermat_cap=0)
 
 
 def test_experiment_run_count_and_determinism():
