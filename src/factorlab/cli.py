@@ -127,6 +127,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     balance = Balance.UNBALANCED if args.unbalanced else Balance.BALANCED
     for i in range(args.count):
         spec = SemiprimeSpec(bits=args.bits, balance=balance, seed=args.seed + i)
@@ -136,6 +138,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     balance = Balance.UNBALANCED if args.unbalanced else Balance.BALANCED
     spec = SemiprimeSpec(bits=args.bits, balance=balance, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:  # fail before any trial
@@ -157,6 +161,10 @@ def _cmd_bound_scan(args) -> int:
 def _cmd_lll_check(args) -> int:
     if args.dim < 2:
         raise ValueError("--dim must be >= 2")
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if args.entry_bits < 1:
+        raise ValueError("--entry-bits must be >= 1")
     rng = random.Random(args.seed)
     bound = 1 << args.entry_bits
     bad = 0
@@ -178,6 +186,7 @@ def _cmd_lll_check(args) -> int:
         try:
             reduced = lattice.lll_reduce(basis)
         except lattice.DependentRows:
+            print(json.dumps({"trial": trial, "shape": shape, "status": "dependent"}))
             continue
         problems = lattice.check_reduction(basis, reduced)
         status = "ok" if not problems else "FAIL " + "; ".join(problems)

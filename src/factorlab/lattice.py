@@ -30,9 +30,13 @@ down: its integer roots (all of them, by Hensel lifting) give every y, and
 f gives x.  Reduction stops at the first reduced prefix row that certifies:
 short, and with R(0) != 0 for R(y) = A^(m+1) h(-C/A, y), f = A x + C, so not
 a multiple of f; that row alone is then read (Howgrave-Graham's lemma needs
-a short lattice vector, not a reduced basis).  A box whose one lattice pass
-neither certifies nor finds a root is recentered into quadrants (bounded
-recursion), which buys a few bits of slack per level.
+a short lattice vector, not a reduced basis).  Quadrant recentering
+(bounded recursion) buys a few bits of slack per level, and the bound
+margin of each box that can still split sets its schedule: below
+_SCHEDULE_MARGIN_BITS the quadrants go first, and the box's own pass runs
+only if they do not all certify; at or above it a degree-1 pass (9 dims)
+goes first, and the pass at the given shift degree, then the quadrants,
+only if that one does not certify.  A box that cannot split gets one pass.
 Soundness is unconditional (every returned pair is verified by exact
 evaluation); a certified result's root list is complete for the box.
 """
@@ -73,7 +77,11 @@ class LatticeFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Tuning knobs: Lovasz delta in (1/4, 1) and the shift degree m."""
+    """Tuning knobs: Lovasz delta in (1/4, 1) and the shift degree m.
+
+    The solver reduces at shift degree m, except that a box that can still
+    split and has a bound margin of at least _SCHEDULE_MARGIN_BITS first
+    tries degree 1; m is then its fallback."""
 
     delta: Fraction = Fraction(3, 4)
     shift_degree: int = 2
@@ -636,6 +644,25 @@ def _recentered(f: BilinearPoly, cx: int, cy: int) -> BilinearPoly:
     )
 
 
+# A box that can still split follows its bound margin (bits, bound_margin
+# on the box in hand).  At or above this margin a degree-1 pass (9 dims)
+# runs first, and the pass at params.shift_degree only when it does not
+# certify; below it the box splits into quadrants before its own pass.
+# Every box the pass-first schedule (one pass at degree 2, then the split)
+# visits on solver corpus seeds 1-5, each re-run at both degrees; the time
+# ratio is summed over the band (2-core x86-64, CPython 3.11):
+#   margin    deg-1 certifies  deg-2 certifies  deg-1 / deg-2 time
+#   < 3.5         0/294            0/294             0.21
+#   3.5-4       113/1013         368/1013            0.24
+#   4-4.5       244/622          590/622             0.38
+#   4.5-5       558/579          579/579             0.49
+#   >= 5       1588/1588        1588/1588            0.48
+# Solver seeds 1-2 in-process, best of 5, with separate degree-1 and split
+# thresholds on {4.0, 4.5, 5.0}: 4.5 for both took 2.60 s, the other eight
+# pairs 2.86-3.46 s.
+_SCHEDULE_MARGIN_BITS = 4.5
+
+
 def _solve_box(
     f: BilinearPoly,
     X: int,
@@ -645,20 +672,29 @@ def _solve_box(
     state: dict,
 ) -> tuple[set[tuple[int, int]], bool]:
     """Returns (verified roots, resolved).  resolved means a certified pass
-    covered this whole box (directly or via all sub-boxes)."""
-    roots, indep, certified = _lattice_pass(f, X, Y, params)
-    state["independent"] = state["independent"] or indep
-    if certified or roots:
+    covered this whole box (directly or via all sub-boxes).
+
+    A box that cannot split takes one pass at params.  One that can follows
+    its margin against _SCHEDULE_MARGIN_BITS.  Below it, the quadrants go
+    first; unless they all resolve, the box's own pass runs too and its
+    roots join theirs.  At or above it, a degree-1 pass goes first, and the
+    box is resolved by it if it certifies; otherwise the pass at params
+    runs and, if it neither certifies nor finds a root, the box splits.
+    Either way the result holds every root that one pass at params followed
+    by the split on failure finds, and is resolved whenever that is.
+    """
+
+    def run(p: ReductionParams) -> tuple[set[tuple[int, int]], bool]:
+        roots, indep, certified = _lattice_pass(f, X, Y, p)
+        state["independent"] = state["independent"] or indep
         return roots, certified
-    hx = (X + 1) // 2 if X > 1 else X
-    hy = (Y + 1) // 2 if Y > 1 else Y
-    if depth > 0 and (hx < X or hy < Y):
-        centers_x = sorted({-(X - hx), X - hx})
-        centers_y = sorted({-(Y - hy), Y - hy})
+
+    def split() -> tuple[set[tuple[int, int]], bool]:
+        # the four quadrants, one level deeper: their roots, all resolved
         union: set[tuple[int, int]] = set()
         all_resolved = True
-        for cx in centers_x:
-            for cy in centers_y:
+        for cx in sorted({-(X - hx), X - hx}):
+            for cy in sorted({-(Y - hy), Y - hy}):
                 sub_roots, sub_resolved = _solve_box(
                     _recentered(f, cx, cy), hx, hy, params, depth - 1, state
                 )
@@ -666,9 +702,30 @@ def _solve_box(
                 for (x, y) in sub_roots:
                     if _is_root_in_box(f, x + cx, y + cy, X, Y):
                         union.add((x + cx, y + cy))
-        if union or all_resolved:
-            return union, all_resolved
-    return set(), False
+        return union, all_resolved
+
+    hx = (X + 1) // 2 if X > 1 else X
+    hy = (Y + 1) // 2 if Y > 1 else Y
+    if depth == 0 or (hx == X and hy == Y):
+        return run(params)
+    # the box is wider than 1 on some side, so its height is at least 2 and
+    # its margin defined: an f of height below 2 there would have c3 = 0 and
+    # c1 or c2 = 0, so c1*c2 = c0*c3 (recentering keeps c1*c2 - c0*c3), and
+    # coppersmith_bivariate rejects such an f as reducible
+    if bound_margin(f, RootBounds(X, Y)) < _SCHEDULE_MARGIN_BITS:
+        union, all_resolved = split()
+        if all_resolved:
+            return union, True
+        roots, certified = run(params)
+        return roots | union, certified
+    if params.shift_degree > 1:
+        roots, certified = run(ReductionParams(params.delta, 1))
+        if certified:
+            return roots, True
+    roots, certified = run(params)
+    if certified or roots:
+        return roots, certified
+    return split()
 
 
 def coppersmith_bivariate(
@@ -683,8 +740,12 @@ def coppersmith_bivariate(
     Every returned pair satisfies f(x, y) = 0 exactly with |x| <= X and
     |y| <= Y.  When the result is certified the list is complete for the
     box; otherwise completeness follows the bound margin empirically and the
-    return may be partial.  One pass per box on the triangular basis; a box
-    it leaves unresolved splits into quadrants, recenter_depth levels deep.
+    return may be partial.  Passes run on the triangular basis, and boxes
+    split into quadrants recenter_depth levels deep.  With depth left, a
+    box below _SCHEDULE_MARGIN_BITS of margin splits before its own pass,
+    and one at or above it tries a degree-1 pass before the pass at
+    params.shift_degree; a box at depth 0 gets one pass at
+    params.shift_degree.
     Raises ReducibleInput for reducible f and LatticeFailure when no pass
     yields roots or a certificate (callers fall back to sweeping).
     """

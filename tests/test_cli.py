@@ -307,3 +307,46 @@ def test_lll_check_dim_validation(capsys):
     code, _, errtxt = run_cli(capsys, "lll-check", "--dim", "1", "--seed", "1", "--trials", "1")
     assert code == 1
     assert "dim" in errtxt
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen", "--bits", "20", "--count", "-1", "--seed", "0"], "--count"),
+        (["gen", "--bits", "20", "--count", "0", "--seed", "0"], "--count"),
+        (["lll-check", "--dim", "4", "--seed", "0", "--trials", "0"], "--trials"),
+        (["lll-check", "--dim", "4", "--seed", "0", "--trials", "1",
+          "--entry-bits", "0"], "--entry-bits"),
+    ],
+)
+def test_runs_that_would_do_nothing_are_rejected(capsys, argv, flag):
+    code, out, errtxt = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert flag in errtxt
+
+
+def test_experiment_count_below_one_is_rejected_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(harness, "experiment_run", lambda *a: pytest.fail("ran"))
+    out_path = tmp_path / "records.jsonl"
+    code, out, errtxt = run_cli(
+        capsys, "experiment", "--bits", "16", "--count", "0", "--seed", "0",
+        "--out", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert "--count" in errtxt
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_lll_check_reports_dependent_bases(capsys):
+    # 2x2 bases of entries in [-2, 2): seed 5 draws two singular ones
+    code, out, _ = run_cli(
+        capsys, "lll-check", "--dim", "2", "--seed", "5", "--trials", "3",
+        "--entry-bits", "1",
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    assert [(r["trial"], r["shape"], r["status"]) for r in rows] == [
+        (0, "uniform", "dependent"), (1, "knapsack", "ok"), (2, "uniform", "dependent"),
+    ]

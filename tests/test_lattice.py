@@ -28,6 +28,7 @@ from factorlab.polybuild import (
     RootBounds,
     bound_margin,
     build_polynomial,
+    is_reducible,
     solve_companion_residue,
 )
 
@@ -260,18 +261,11 @@ def test_coppersmith_worked_instance_tight_bounds():
 
 
 def test_coppersmith_worked_instance_boundary_bounds():
-    # margin ~ +0.12 bits: completeness is not promised here; compare and
-    # record the outcome either way, but soundness must hold
-    oracle = exhaustive_roots(WORKED, RootBounds(22, 22))
-    try:
-        res = coppersmith_bivariate(WORKED, RootBounds(22, 22))
-    except LatticeFailure:
-        return  # recorded boundary failure: acceptable
-    for root in res.roots:
-        assert WORKED.evaluate(*root) == 0
-    if res.roots != oracle:
-        # bound-boundary miss, not a bug; it must at least be sound
-        assert set(res.roots) <= set(oracle)
+    # margin ~ +0.12 bits: the box splits first, and its quadrants certify
+    # the complete root list
+    res = coppersmith_bivariate(WORKED, RootBounds(22, 22))
+    assert res.roots == [(-1, 1), (1, -1)] == exhaustive_roots(WORKED, RootBounds(22, 22))
+    assert res.certified
 
 
 def test_coppersmith_origin_root():
@@ -381,7 +375,8 @@ def _solver_poly(seed):
 
 @pytest.mark.parametrize("depth, passes", [(0, 1), (1, 5)])
 def test_one_lattice_pass_per_box(monkeypatch, depth, passes):
-    # a failing box costs one pass, and each of its four quadrants one more
+    # a low-margin box that fails costs one pass at depth 0; at depth 1 its
+    # four quadrants fail first, then its own pass runs: five passes
     calls = []
     real = lattice.lll_reduce
 
@@ -617,3 +612,103 @@ def test_early_exit_keeps_roots_and_certificates(monkeypatch):
     # the stop fires on high-margin instances, one of them halfway down the
     # 16-row basis or earlier
     assert stopped_high and min(stopped_high) <= 8
+
+
+def _pass_first_box(f, X, Y, params, depth):
+    """The schedule before margins, kept as the oracle: one pass at params
+    per box, and the four quadrants when it neither certifies nor finds a
+    root.  Returns (roots, resolved)."""
+    roots, _indep, certified = lattice._lattice_pass(f, X, Y, params)
+    if certified or roots:
+        return roots, certified
+    hx = (X + 1) // 2 if X > 1 else X
+    hy = (Y + 1) // 2 if Y > 1 else Y
+    if depth > 0 and (hx < X or hy < Y):
+        union, all_resolved = set(), True
+        for cx in sorted({-(X - hx), X - hx}):
+            for cy in sorted({-(Y - hy), Y - hy}):
+                sub_roots, sub_resolved = _pass_first_box(
+                    lattice._recentered(f, cx, cy), hx, hy, params, depth - 1
+                )
+                all_resolved = all_resolved and sub_resolved
+                union |= {
+                    (x + cx, y + cy) for (x, y) in sub_roots
+                    if lattice._is_root_in_box(f, x + cx, y + cy, X, Y)
+                }
+        if union or all_resolved:
+            return union, all_resolved
+    return set(), False
+
+
+def _schedule_keeps_the_pass_first_result(f, bounds, depth):
+    ref_roots, ref_resolved = _pass_first_box(f, bounds.X, bounds.Y, ReductionParams(), depth)
+    try:
+        res = coppersmith_bivariate(f, bounds, recenter_depth=depth)
+    except LatticeFailure:
+        assert not ref_roots and not ref_resolved
+        return False
+    assert set(res.roots) >= ref_roots
+    assert res.certified or not ref_resolved
+    for (x, y) in res.roots:
+        assert f.evaluate(x, y) == 0 and abs(x) <= bounds.X and abs(y) <= bounds.Y
+    if res.certified:
+        assert res.roots == exhaustive_roots(f, bounds)
+    return res.certified and not ref_resolved
+
+
+def test_margin_schedule_keeps_every_pass_first_root_and_certificate():
+    # planted instances at margins -1..+7 and depths 0-2, then small random
+    # f: the result holds every root the pass-first schedule finds, and is
+    # certified whenever that one is
+    rng = random.Random(20)
+    want = {(m, d): 2 for m in range(-1, 8) for d in range(3)}
+    gained = 0
+    while any(want.values()):
+        f, x1, y1 = planted_instance(rng, rng.randrange(18, 34))
+        base = max(abs(x1), abs(y1), 1)
+        bounds = RootBounds(base * rng.choice((1, 2, 4)), base * rng.choice((1, 2, 4)))
+        if max(bounds.X, bounds.Y) > 1 << 10:
+            continue
+        margin = math.floor(bound_margin(f, bounds))
+        for depth in range(3):
+            if want.get((margin, depth), 0):
+                want[(margin, depth)] -= 1
+                gained += _schedule_keeps_the_pass_first_result(f, bounds, depth)
+    for _ in range(60):
+        f = BilinearPoly(rng.randrange(1, 50), rng.randrange(-2000, 2000),
+                         rng.randrange(-2000, 2000), rng.randrange(-5000, 5000))
+        if is_reducible(f):
+            continue
+        bounds = RootBounds(rng.choice((1, 2, 3, 8, 64)), rng.choice((1, 2, 3, 8, 64)))
+        _schedule_keeps_the_pass_first_result(f, bounds, rng.randrange(3))
+    # splitting low-margin boxes first certifies some the old schedule left open
+    assert gained > 0
+
+
+def test_box_of_height_below_two_is_a_low_margin_box():
+    # the quadrants of f = xy - 1 at X = Y = 2 recenter to xy + x + y and
+    # xy - x - y, of height 1 on their 1x1 boxes, where bound_margin raises
+    res = coppersmith_bivariate(BilinearPoly(1, 0, 0, -1), RootBounds(2, 2))
+    assert res.roots == [(-1, -1), (1, 1)]
+
+
+def test_high_margin_box_is_certified_by_one_degree_one_pass(monkeypatch):
+    calls = []
+    real = lattice.lll_reduce
+
+    def spy(basis, params=None, **kw):
+        calls.append(len(basis))
+        return real(basis, params, **kw)
+
+    rng = random.Random(3)
+    while True:
+        f, x1, y1 = planted_instance(rng, rng.randrange(20, 23))
+        side = max(abs(x1), abs(y1), 1)
+        bounds = RootBounds(side, side)
+        if bound_margin(f, bounds) >= 5:
+            break
+    monkeypatch.setattr(lattice, "lll_reduce", spy)
+    res = coppersmith_bivariate(f, bounds)
+    assert calls == [9]
+    assert res.certified and (x1, y1) in res.roots
+    assert res.roots == exhaustive_roots(f, bounds)
