@@ -17,26 +17,29 @@ lattice, and the exact loop either confirms it untouched or finishes the
 reduction.  check_reduction re-derives every claimed property of a reduced
 basis from scratch with rational arithmetic.
 
-coppersmith_bivariate finds integer roots (x, y) of a bilinear f with
-|x| <= X, |y| <= Y by lattice reduction: rows are the coefficient vectors of
-the shift polynomials x^i y^j f (0 <= i, j <= m) plus modulus-scaled
-monomials, columns scaled by X, Y powers and ordered from x^(m+1) y^(m+1)
-down to 1, so the echelon basis is the triangular Coppersmith basis.  Short
-reduced vectors are read as polynomials h with h(root) = 0 modulo the
-working modulus; an h that is both independent of f and short enough
-vanishes at every in-range root outright.  One resultant Res_x(f, h) per
-reduced row (in closed form, f being linear in x) then pins the roots
-down: its integer roots (all of them, by Hensel lifting) give every y, and
-f gives x.  Reduction stops at the first reduced prefix row that certifies:
-short, and with R(0) != 0 for R(y) = A^(m+1) h(-C/A, y), f = A x + C, so not
-a multiple of f; that row alone is then read (Howgrave-Graham's lemma needs
-a short lattice vector, not a reduced basis).  Quadrant recentering
-(bounded recursion) buys a few bits of slack per level, and the bound
-margin of each box that can still split sets its schedule: below
-_SCHEDULE_MARGIN_BITS the quadrants go first, and the box's own pass runs
-only if they do not all certify; at or above it a degree-1 pass (9 dims)
-goes first, and the pass at the given shift degree, then the quadrants,
-only if that one does not certify.  A box that cannot split gets one pass.
+coppersmith_bivariate finds integer roots (x, y) of a bilinear f with |x| <=
+X, |y| <= Y by lattice reduction: the lattice of the shift polynomials x^i
+y^j f (0 <= i, j <= m) plus modulus-scaled monomials, columns scaled by X, Y
+powers and ordered from x^(m+1) y^(m+1) down to 1.  The pass works on f's
+primitive part, whose basis is written down in closed form, as in Coron
+(2004): the working modulus is the least one above the usual bound that is
+coprime to the pivot coefficient, so each shift divided by it mod the
+modulus is a row, and every other monomial gets the modulus.  Short reduced
+vectors are read as polynomials h with h(root) = 0 modulo the working
+modulus; an h that is both independent of f and short enough vanishes at
+every in-range root outright.  One resultant Res_x(f, h) per reduced row (in
+closed form, f being linear in x) then pins the roots down: its integer
+roots (all of them, by Hensel lifting) give every y, and f gives x.
+Reduction stops at the first reduced prefix row that certifies: short, and
+with R(0) != 0 for R(y) = A^(m+1) h(-C/A, y), f = A x + C, so not a multiple
+of f; that row alone is then read (Howgrave-Graham's lemma needs a short
+lattice vector, not a reduced basis).  Quadrant recentering (bounded
+recursion) buys a few bits of slack per level, and the bound margin of each
+box sets its schedule: at or above _SCHEDULE_MARGIN_BITS a degree-1 pass (9
+dims) goes first, on a box that can still split and on a box at the last
+level that a split produced; below it a box that can split sends its
+quadrants first, and its own pass runs only if they do not all certify.  A
+call without recentering gets one pass.
 Soundness is unconditional (every returned pair is verified by exact
 evaluation); a certified result's root list is complete for the box.
 """
@@ -45,12 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, inf, ldexp, log2
+from math import fsum, gcd, inf, ldexp, log2
 from operator import mul
 from typing import Callable
 
 from ._intpoly import Poly, bareiss_det, integer_roots, ptrim, sylvester_resultant
-from .polybuild import BilinearPoly, RootBounds, bound_margin, is_reducible
+from .polybuild import BilinearPoly, RootBounds, bound_margin, is_reducible, poly_height
 
 IntegerMatrix = list[list[int]]
 
@@ -79,9 +82,10 @@ class LatticeFailure(RuntimeError):
 class ReductionParams:
     """Tuning knobs: Lovasz delta in (1/4, 1) and the shift degree m.
 
-    The solver reduces at shift degree m, except that a box that can still
-    split and has a bound margin of at least _SCHEDULE_MARGIN_BITS first
-    tries degree 1; m is then its fallback."""
+    The solver reduces at shift degree m, except that a box with a bound
+    margin of at least _SCHEDULE_MARGIN_BITS first tries degree 1 when it
+    can still split or is a last-level quadrant of a split; m is then its
+    fallback.  A call without recentering reduces at m alone."""
 
     delta: Fraction = Fraction(3, 4)
     shift_degree: int = 2
@@ -226,21 +230,23 @@ def _float_pass(b: IntegerMatrix, delta: float) -> IntegerMatrix:
 # A triangular basis whose Gram determinant d_n has at most this many bits
 # goes to the exact loop alone: the loop's integers d_k are bounded by d_n,
 # and below this size the float pass costs more than it saves.  Exact-only
-# time / float-pass-plus-exact time per call on lattices captured from the
-# solver and the pipeline (median of 5 repeats, 2-core x86-64, CPython 3.11):
+# time / float-pass-plus-exact time of full reductions of the closed-form
+# bases the solver and the pipeline build (median of 5 repeats per call,
+# summed over the calls, 2-core x86-64, CPython 3.11):
 #   family                  dim  d_n bits     ratio
-#   solver, 20-22-bit N      16    436-1138    0.68
-#   pipeline, 24-bit N       16  1576-1621     0.78
-#   pipeline, 32-bit N       16  2108-2160     0.89
-#   pipeline, 40-bit N       16  2655-2700     0.99
-#   pipeline, 48-bit N       16  3190-3242     1.07
-#   pipeline, 56-bit N       16  3732-3783     1.20
-#   pipeline, 64-bit N       16  4273-4324     1.25
-#   shift_degree=3, 18-bit   25  2154-2243     0.82
-#   shift_degree=3, 24-bit   25  2930-3017     0.95
-#   shift_degree=3, 28-bit   25  3419-3529     1.02
-#   shift_degree=3, 40-bit   25  4941-5027     1.22
-# Both dimensions cross between 2700 and 3400 bits.  Non-triangular bases
+#   solver, 20-22-bit N       9    210-389     0.59
+#   solver, 20-22-bit N      16    134-801     0.60
+#   pipeline, 24-bit N       16  1445-1497     0.77
+#   pipeline, 32-bit N       16  1942-1995     0.80
+#   pipeline, 40-bit N       16  2442-2494     0.99
+#   pipeline, 48-bit N       16  2939-2992     1.02
+#   pipeline, 56-bit N       16  3437-3491     1.31
+#   pipeline, 64-bit N       16  3936-3990     1.18
+#   shift_degree=3, 18-bit   25  2014-2103     0.63
+#   shift_degree=3, 24-bit   25  2725-2812     0.78
+#   shift_degree=3, 28-bit   25  3193-3286     1.02
+#   shift_degree=3, 40-bit   25  4608-4695     1.10
+# Both dimensions cross between 2500 and 3200 bits.  Non-triangular bases
 # always take the float pass first, since no cheap bound on d_n sorts them:
 # it wins on uniform ones even when small (exact-only 1.30x slower on 16x16
 # 60-bit, 1.72x on 8x8 200-bit) and on knapsack [I | 2**20 * a_i] with
@@ -365,7 +371,9 @@ def integer_row_basis(rows: IntegerMatrix) -> IntegerMatrix:
     """Echelon basis of the lattice generated by possibly dependent rows.
 
     Uses only unimodular operations (swaps, integer row additions) plus
-    removal of zero rows, so the span is preserved exactly.
+    removal of zero rows, so the span is preserved exactly.  The solver
+    writes its basis down in closed form; this is the oracle it is checked
+    against.
     """
     mat = [list(r) for r in rows if any(r)]
     if not mat:
@@ -555,27 +563,52 @@ def _lattice_pass(
 ) -> tuple[set[tuple[int, int]], bool, bool]:
     """One build-reduce-extract pass.  Returns (roots, saw_independent_h,
     certified)."""
+    # The pass works on f's primitive part, which has f's roots.  At a
+    # modulus that is a multiple of the content, f's lattice is the content
+    # times the primitive part's, so a pass on f and one on f / content
+    # agree; a modulus coprime to f's own c3 would be about the content
+    # times larger, and would not.
     c3, c2, c1, c0 = f.coefficients()
+    content = gcd(c3, c2, c1, c0)
+    c3, c2, c1, c0 = c3 // content, c2 // content, c1 // content, c0 // content
     m = params.shift_degree
-    # from the leading monomial down: x^a y^b f pivots on x^(a+1) y^(b+1)
+    # from the leading monomial down: x^a y^b f pivots on x^(a+1) y^(b+1),
+    # or on x^(a+1) y^b when c3 = 0 (then c2 != 0, f being irreducible)
     mons = [(i, j) for i in range(m + 1, -1, -1) for j in range(m + 1, -1, -1)]
     midx = {mn: t for t, mn in enumerate(mons)}
     D = len(mons)
     scale = [X**i * Y**j for (i, j) in mons]
     W = max(abs(c3) * X * Y, abs(c2) * X, abs(c1) * Y, abs(c0))
+    # Coron's working modulus: the least n_mod >= max(W, 2) (XY)^m coprime to
+    # the pivot coefficient, found by stepping n_mod itself (steps of (XY)^m
+    # never reach one when X or Y shares a factor with it)
+    lead, pj = (c3, 1) if c3 else (c2, 0)
     n_mod = max(W, 2) * (X * Y) ** m
-    gen: IntegerMatrix = []
-    for a in range(m + 1):
-        for b in range(m + 1):
-            row = [0] * D
-            for (di, dj, c) in ((1, 1, c3), (1, 0, c2), (0, 1, c1), (0, 0, c0)):
-                t = midx[(a + di, b + dj)]
-                row[t] = c * scale[t]
-            gen.append(row)
-    for t in range(D):
+    while gcd(lead, n_mod) != 1:
+        n_mod += 1
+    inv = pow(lead, -1, n_mod)
+    terms = []  # f / lead mod n_mod: (di, dj, coefficient in (-n_mod/2, n_mod/2])
+    for di, dj, c in ((1, 1, c3), (1, 0, c2), (0, 1, c1), (0, 0, c0)):
+        r = c * inv % n_mod
+        if r:
+            terms.append((di, dj, r - n_mod if 2 * r > n_mod else r))
+    # The lattice of the shifts x^a y^b f plus n_mod times every monomial,
+    # columns scaled, has this triangular basis: a pivot monomial gets its
+    # shift divided by lead mod n_mod (pivot scale[t]), every other monomial
+    # n_mod scale[t].  Last pivot first: each row adds one coordinate, so GS
+    # norms start at the pivots.
+    basis: IntegerMatrix = []
+    for t in range(D - 1, -1, -1):
+        i, j = mons[t]
+        a, b = i - 1, j - pj
         row = [0] * D
-        row[t] = n_mod * scale[t]
-        gen.append(row)
+        if a >= 0 and 0 <= b <= m:
+            for di, dj, r in terms:
+                u = midx[(a + di, b + dj)]
+                row[u] = r * scale[u]
+        else:
+            row[t] = n_mod * scale[t]
+        basis.append(row)
     # R(y) = A^(m+1) h(-C/A, y) for f = A x + C vanishes identically when h is
     # a multiple of f; R(0) = sum_i h_{i,0} (-c0)^i c2^(m+1-i) is read off
     # h's y^0 coefficients, which sit in columns (i, 0), scaled by X^i
@@ -602,14 +635,13 @@ def _lattice_pass(
                 return True
         return False
 
-    # last pivot first: each row adds one coordinate, so GS norms start at the pivots
-    reduced = lll_reduce(integer_row_basis(gen)[::-1], params, stop=certifies)
+    reduced = lll_reduce(basis, params, stop=certifies)
     fx = [[c0, c1], [c2, c3]]  # f as a poly in x over Z[y]
     roots: set[tuple[int, int]] = set()
     saw_independent = False
     # after an early stop, the certifying row alone gives the complete roots
     for row in hit or reduced:
-        # every generator's column t is a multiple of scale[t], so every row's is
+        # every basis row's column t is a multiple of scale[t], so every row's is
         coeffs = {mn: row[t] // scale[t] for t, mn in enumerate(mons)}
         hx: list[Poly] = [
             ptrim([coeffs.get((i, j), 0) for j in range(m + 2)])
@@ -644,10 +676,11 @@ def _recentered(f: BilinearPoly, cx: int, cy: int) -> BilinearPoly:
     )
 
 
-# A box that can still split follows its bound margin (bits, bound_margin
-# on the box in hand).  At or above this margin a degree-1 pass (9 dims)
-# runs first, and the pass at params.shift_degree only when it does not
-# certify; below it the box splits into quadrants before its own pass.
+# A box that can still split, and a quadrant at the last level, follow
+# their bound margin (bits, bound_margin on the box in hand).  At or above
+# this margin a degree-1 pass (9 dims) runs first, and the pass at
+# params.shift_degree only when it does not certify; below it a box that
+# can split goes to its quadrants before its own pass.
 # Every box the pass-first schedule (one pass at degree 2, then the split)
 # visits on solver corpus seeds 1-5, each re-run at both degrees; the time
 # ratio is summed over the band (2-core x86-64, CPython 3.11):
@@ -659,7 +692,11 @@ def _recentered(f: BilinearPoly, cx: int, cy: int) -> BilinearPoly:
 #   >= 5       1588/1588        1588/1588            0.48
 # Solver seeds 1-2 in-process, best of 5, with separate degree-1 and split
 # thresholds on {4.0, 4.5, 5.0}: 4.5 for both took 2.60 s, the other eight
-# pairs 2.86-3.46 s.
+# pairs 2.86-3.46 s.  The quadrants at the last level on seeds 1-5 (3,840,
+# closed-form basis), each re-run at both degrees, all sit at >= 4.5 bits:
+#   4.5-5       823/831          831/831             0.54
+#   >= 5       3009/3009        3009/3009            0.68
+# so such a quadrant also tries degree 1 first.
 _SCHEDULE_MARGIN_BITS = 4.5
 
 
@@ -670,18 +707,22 @@ def _solve_box(
     params: ReductionParams,
     depth: int,
     state: dict,
+    quadrant: bool = False,
 ) -> tuple[set[tuple[int, int]], bool]:
     """Returns (verified roots, resolved).  resolved means a certified pass
-    covered this whole box (directly or via all sub-boxes).
+    covered this whole box (directly or via all sub-boxes).  quadrant means
+    a split produced the box.
 
-    A box that cannot split takes one pass at params.  One that can follows
-    its margin against _SCHEDULE_MARGIN_BITS.  Below it, the quadrants go
-    first; unless they all resolve, the box's own pass runs too and its
-    roots join theirs.  At or above it, a degree-1 pass goes first, and the
-    box is resolved by it if it certifies; otherwise the pass at params
-    runs and, if it neither certifies nor finds a root, the box splits.
-    Either way the result holds every root that one pass at params followed
-    by the split on failure finds, and is resolved whenever that is.
+    A box that cannot split takes one pass at params, except that a
+    quadrant at or above _SCHEDULE_MARGIN_BITS first tries a degree-1 pass
+    and is resolved by it if it certifies.  A box that can split follows its
+    margin too.  Below it, the quadrants go first; unless they all resolve,
+    the box's own pass runs and its roots join theirs.  At or above it, a
+    degree-1 pass goes first, and the box is resolved by it if it
+    certifies; otherwise the pass at params runs and, if it neither
+    certifies nor finds a root, the box splits.  Either way the result holds
+    every root that one pass at params followed by the split on failure
+    finds, and is resolved whenever that is.
     """
 
     def run(p: ReductionParams) -> tuple[set[tuple[int, int]], bool]:
@@ -696,7 +737,7 @@ def _solve_box(
         for cx in sorted({-(X - hx), X - hx}):
             for cy in sorted({-(Y - hy), Y - hy}):
                 sub_roots, sub_resolved = _solve_box(
-                    _recentered(f, cx, cy), hx, hy, params, depth - 1, state
+                    _recentered(f, cx, cy), hx, hy, params, depth - 1, state, True
                 )
                 all_resolved = all_resolved and sub_resolved
                 for (x, y) in sub_roots:
@@ -706,24 +747,31 @@ def _solve_box(
 
     hx = (X + 1) // 2 if X > 1 else X
     hy = (Y + 1) // 2 if Y > 1 else Y
-    if depth == 0 or (hx == X and hy == Y):
+    splits = depth > 0 and (hx < X or hy < Y)
+    if not (splits or quadrant):
         return run(params)
-    # the box is wider than 1 on some side, so its height is at least 2 and
-    # its margin defined: an f of height below 2 there would have c3 = 0 and
-    # c1 or c2 = 0, so c1*c2 = c0*c3 (recentering keeps c1*c2 - c0*c3), and
-    # coppersmith_bivariate rejects such an f as reducible
-    if bound_margin(f, RootBounds(X, Y)) < _SCHEDULE_MARGIN_BITS:
+    # A box that can split is wider than 1 on some side, so its height is
+    # at least 2 and its margin defined: an f of height below 2 there would
+    # have c3 = 0 and c1 or c2 = 0, so c1*c2 = c0*c3 (recentering keeps
+    # c1*c2 - c0*c3), and coppersmith_bivariate rejects such an f as
+    # reducible.  A quadrant that cannot split may have height 1 (the 1x1
+    # quadrants of xy - 1 at X = Y = 2); it counts as low-margin.
+    box = RootBounds(X, Y)
+    high = (
+        poly_height(f, box) >= 2 and bound_margin(f, box) >= _SCHEDULE_MARGIN_BITS
+    )
+    if splits and not high:
         union, all_resolved = split()
         if all_resolved:
             return union, True
         roots, certified = run(params)
         return roots | union, certified
-    if params.shift_degree > 1:
+    if high and params.shift_degree > 1:
         roots, certified = run(ReductionParams(params.delta, 1))
         if certified:
             return roots, True
     roots, certified = run(params)
-    if certified or roots:
+    if certified or roots or not splits:
         return roots, certified
     return split()
 
@@ -740,11 +788,12 @@ def coppersmith_bivariate(
     Every returned pair satisfies f(x, y) = 0 exactly with |x| <= X and
     |y| <= Y.  When the result is certified the list is complete for the
     box; otherwise completeness follows the bound margin empirically and the
-    return may be partial.  Passes run on the triangular basis, and boxes
-    split into quadrants recenter_depth levels deep.  With depth left, a
-    box below _SCHEDULE_MARGIN_BITS of margin splits before its own pass,
-    and one at or above it tries a degree-1 pass before the pass at
-    params.shift_degree; a box at depth 0 gets one pass at
+    return may be partial.  Passes run on the closed-form triangular basis,
+    and boxes split into quadrants recenter_depth levels deep.  With depth
+    left, a box below _SCHEDULE_MARGIN_BITS of margin splits before its own
+    pass, and one at or above it tries a degree-1 pass before the pass at
+    params.shift_degree.  A quadrant at depth 0 does the same, except that
+    it cannot split; recenter_depth=0 gives the box one pass at
     params.shift_degree.
     Raises ReducibleInput for reducible f and LatticeFailure when no pass
     yields roots or a certificate (callers fall back to sweeping).

@@ -29,6 +29,7 @@ from factorlab.polybuild import (
     bound_margin,
     build_polynomial,
     is_reducible,
+    poly_height,
     solve_companion_residue,
 )
 
@@ -391,48 +392,110 @@ def test_one_lattice_pass_per_box(monkeypatch, depth, passes):
     assert len(calls) == passes
 
 
+# 13x + 3 and 13y + 5 times each other, less their value at the root (2, -1).
+# Its content is 13, and the primitive part's c3 = 13 shares that factor
+# with X = Y = 13, so no multiple of (XY)^2 is coprime to it
+_C3_169 = BilinearPoly(169, 65, 39, 15 - 29 * -8)
+# c3 = 0: the shifts pivot on x^(a+1) y^b, with lead c2
+_C3_ZERO = BilinearPoly(0, 37, -23, -(37 * 5 + 23 * 7))
+
+
+def _generators(f, X, Y, m, n_mod):
+    """The shift rows x^a y^b f and the rows n_mod * monomial, columns
+    scaled and ordered from x^(m+1) y^(m+1) down to 1."""
+    mons = [(i, j) for i in range(m + 1, -1, -1) for j in range(m + 1, -1, -1)]
+    scale = _scale(X, Y, m)
+    rows = []
+    for a in range(m + 1):
+        for b in range(m + 1):
+            coeffs = {(a + 1, b + 1): f.c3, (a + 1, b): f.c2, (a, b + 1): f.c1, (a, b): f.c0}
+            rows.append([coeffs.get(mn, 0) * s for mn, s in zip(mons, scale)])
+    for t, s in enumerate(scale):
+        rows.append([n_mod * s if u == t else 0 for u in range(len(mons))])
+    return rows
+
+
+def _scale(X, Y, m):
+    """X^i Y^j for the monomials from x^(m+1) y^(m+1) down to 1."""
+    return [X**i * Y**j for i in range(m + 1, -1, -1) for j in range(m + 1, -1, -1)]
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda: _pipeline_poly(40, 1),
         lambda: _pipeline_poly(56, 2),
         lambda: _solver_poly(3),
+        lambda: (_C3_169, RootBounds(13, 13)),
+        lambda: (_C3_ZERO, RootBounds(40, 40)),
     ],
-    ids=["pipeline-40", "pipeline-56", "solver"],
+    ids=["pipeline-40", "pipeline-56", "solver", "c3-169-X-13", "c3-zero"],
 )
 def test_lattice_pass_basis_is_triangular_and_spans_the_old_lattice(monkeypatch, make):
-    generators, bases = [], []
-    real_basis, real_lll = lattice.integer_row_basis, lattice.lll_reduce
-
-    def basis_spy(rows):
-        generators.append([row[:] for row in rows])
-        return real_basis(rows)
+    # the closed-form basis spans the lattice that integer_row_basis
+    # echelonizes from the generators at the same working modulus
+    bases = []
+    real_lll = lattice.lll_reduce
 
     def lll_spy(basis, params=None, **kw):
         bases.append([row[:] for row in basis])
         return real_lll(basis, params, **kw)
 
-    monkeypatch.setattr(lattice, "integer_row_basis", basis_spy)
     monkeypatch.setattr(lattice, "lll_reduce", lll_spy)
     f, bounds = make()
+    X, Y, m = bounds.X, bounds.Y, 2
     try:
         coppersmith_bivariate(f, bounds, recenter_depth=0)
     except LatticeFailure:
         pass
     assert len(bases) == 1
-    # the pass may stop LLL early: reduce its basis in full to compare
     basis = bases[0]
-    reduced = real_lll(basis)
     # square, and row k adds coordinate D-1-k to the rows before it
     D = len(basis)
-    assert all(len(row) == D for row in basis)
+    assert D == (m + 2) ** 2 and all(len(row) == D for row in basis)
     for k, row in enumerate(basis):
         assert not any(row[: D - 1 - k]) and row[D - 1 - k] != 0
-    # the monomials ascending, as the echelon was built before, are the
-    # descending columns reversed: that echelon, its columns put back in
-    # the descending order, spans the lattice LLL reduced
-    old = integer_row_basis([row[::-1] for row in generators[0]])
-    assert check_reduction([row[::-1] for row in old], reduced) == []
+    # the pass reads the primitive part g of f; its working modulus is the
+    # least one from max(W, 2) (XY)^m up that is coprime to g's pivot
+    # coefficient, and the pivots are scale[t] on the (m+1)^2 shifts and
+    # n_mod * scale[t] on every other monomial
+    g = BilinearPoly(*(c // math.gcd(*f.coefficients()) for c in f.coefficients()))
+    scale = _scale(X, Y, m)
+    pivots = [basis[D - 1 - t][t] for t in range(D)]
+    n_mods = {p // s for p, s in zip(pivots, scale) if p != s}
+    assert len(n_mods) == 1
+    n_mod = n_mods.pop()
+    lead = g.c3 or g.c2
+    start = max(poly_height(g, bounds), 2) * (X * Y) ** m
+    assert math.gcd(lead, n_mod) == 1
+    assert all(math.gcd(lead, v) > 1 for v in range(start, n_mod))
+    assert sum(p == s for p, s in zip(pivots, scale)) == (m + 1) ** 2
+    assert all(p in (s, n_mod * s) for p, s in zip(pivots, scale))
+    # the generators' echelon (built on ascending monomials, its columns put
+    # back in descending order) spans the lattice LLL reduced
+    gens = _generators(g, X, Y, m, n_mod)
+    old = integer_row_basis([row[::-1] for row in gens])
+    assert check_reduction([row[::-1] for row in old], real_lll(basis)) == []
+    if f is _C3_169:
+        assert g.c3 == 13 and math.gcd(13, start) > 1 and n_mod > start
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _pipeline_poly(40, 1), lambda: _pipeline_poly(56, 2), lambda: _solver_poly(3)],
+    ids=["pipeline-40", "pipeline-56", "solver"],
+)
+def test_lattice_pass_reads_the_primitive_part(make):
+    # a generated f has content B; its pass equals the pass on f / B
+    f, bounds = make()
+    B = math.gcd(*f.coefficients())
+    assert B > 1
+    g = BilinearPoly(*(c // B for c in f.coefficients()))
+    for m in (1, 2):
+        params = ReductionParams(shift_degree=m)
+        assert lattice._lattice_pass(f, bounds.X, bounds.Y, params) == lattice._lattice_pass(
+            g, bounds.X, bounds.Y, params
+        )
 
 
 def _is_triangular(basis):
@@ -712,3 +775,103 @@ def test_high_margin_box_is_certified_by_one_degree_one_pass(monkeypatch):
     assert calls == [9]
     assert res.certified and (x1, y1) in res.roots
     assert res.roots == exhaustive_roots(f, bounds)
+
+
+def _lll_dims(monkeypatch):
+    """Spy on lll_reduce: the list it fills holds each call's dimension."""
+    calls = []
+    real = lattice.lll_reduce
+
+    def spy(basis, params=None, **kw):
+        calls.append(len(basis))
+        return real(basis, params, **kw)
+
+    monkeypatch.setattr(lattice, "lll_reduce", spy)
+    return calls
+
+
+def _planted_at_margin(rng, lo, hi):
+    while True:
+        f, x1, y1 = planted_instance(rng, rng.randrange(20, 23))
+        side = max(abs(x1), abs(y1), 1)
+        bounds = RootBounds(side, side)
+        if lo <= bound_margin(f, bounds) < hi:
+            return f, bounds
+
+
+def test_split_leaf_tries_degree_one_first(monkeypatch):
+    # a box at the last level that a split produced, at >= 4.5 bits, makes
+    # a 9-dim call before any 16-dim one
+    calls = _lll_dims(monkeypatch)
+    rng = random.Random(21)
+    for lo in (lattice._SCHEDULE_MARGIN_BITS, 5.0, 6.0):
+        f, bounds = _planted_at_margin(rng, lo, lo + 0.5)
+        calls.clear()
+        state = {"independent": False}
+        roots, resolved = lattice._solve_box(
+            f, bounds.X, bounds.Y, ReductionParams(), 0, state, True
+        )
+        assert calls[0] == 9 and set(calls) <= {9, 16}
+        assert resolved and sorted(roots) == exhaustive_roots(f, bounds)
+    # through the split: a low-margin box at depth 1 goes to its quadrants
+    # first, and every quadrant at >= 4.5 bits opens with a degree-1 pass
+    while True:
+        f, bounds = _planted_at_margin(rng, 4.0, lattice._SCHEDULE_MARGIN_BITS)
+        hx, hy = (bounds.X + 1) // 2, (bounds.Y + 1) // 2
+        quads = [
+            (lattice._recentered(f, cx, cy), RootBounds(hx, hy))
+            for cx in sorted({-(bounds.X - hx), bounds.X - hx})
+            for cy in sorted({-(bounds.Y - hy), bounds.Y - hy})
+        ]
+        if all(bound_margin(q, qb) >= lattice._SCHEDULE_MARGIN_BITS for q, qb in quads):
+            break
+    calls.clear()
+    res = coppersmith_bivariate(f, bounds, recenter_depth=1)
+    assert calls[0] == 9
+    assert all(calls[i - 1] == 9 for i, dim in enumerate(calls) if dim == 16)
+    assert calls.count(9) == len(quads)
+    assert res.certified and res.roots == exhaustive_roots(f, bounds)
+
+
+def test_depth_zero_call_keeps_its_one_pass(monkeypatch):
+    # recenter_depth=0 (the pipeline and the residue enumeration) makes
+    # exactly one pass at the given degree, at any margin
+    calls = _lll_dims(monkeypatch)
+    rng = random.Random(22)
+    for lo, hi in ((2.0, 3.0), (4.5, 5.0), (6.0, 9.0)):
+        f, bounds = _planted_at_margin(rng, lo, hi)
+        calls.clear()
+        try:
+            coppersmith_bivariate(f, bounds, recenter_depth=0)
+        except LatticeFailure:
+            pass
+        assert calls == [16]
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_roots_for_every_choice_of_lead(depth):
+    # c3 of 0 (lead c2, shifts pivot on x^(a+1) y^b), +-1 and random, with a
+    # root planted in a box up to 40: the roots are the box's roots, all of
+    # them when certified
+    rng = random.Random(2100 + depth)
+    drawn = certified = 0
+    while drawn < 300:
+        X, Y = rng.randint(1, 40), rng.randint(1, 40)
+        x0, y0 = rng.randint(-X, X), rng.randint(-Y, Y)
+        c3 = rng.choice((0, 1, -1, rng.randint(-(1 << 12), 1 << 12)))
+        c2, c1 = (rng.choice((-1, 1)) * rng.randint(1, 1 << 12) for _ in range(2))
+        f = BilinearPoly(c3, c2, c1, -(c3 * x0 * y0 + c2 * x0 + c1 * y0))
+        if is_reducible(f):
+            continue
+        drawn += 1
+        bounds = RootBounds(X, Y)
+        try:
+            res = coppersmith_bivariate(f, bounds, recenter_depth=depth)
+        except LatticeFailure:
+            continue
+        want = exhaustive_roots(f, bounds)
+        assert set(res.roots) <= set(want)
+        if res.certified:
+            certified += 1
+            assert res.roots == want
+    assert certified > 0
