@@ -40,6 +40,10 @@ def main():
         print(f"  {row.bits:2d} bits: mean {row.mean_margin_bits:+.3f}  "
               f"min {row.min_margin_bits:+.3f}  max {row.max_margin_bits:+.3f}")
     print("  -> pinned near zero, independent of size.")
+    print("The margin is read on f, which is B times a primitive g (content")
+    print("exactly B, and c1*c2 - c0*c3 = B^2 N).  The lattice reduces g, whose")
+    print("margin is (2/3)log2(B) lower, about -(1/9)log2(N) at B = N^(1/6):")
+    print("the paper's bound on f asks B > N^(1/6), Coppersmith on g B > N^(1/4).")
 
     print()
     print("=" * 64)

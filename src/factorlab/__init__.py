@@ -37,7 +37,6 @@ from .lattice import (
     DependentRows,
     LatticeFailure,
     ReducibleInput,
-    ReductionParams,
     check_reduction,
     coppersmith_bivariate,
     exhaustive_roots,
@@ -91,7 +90,6 @@ __all__ = [
     "PipelineFailure",
     "PrimeModulus",
     "ReducibleInput",
-    "ReductionParams",
     "RootBounds",
     "SelectionExhausted",
     "SemiprimeSpec",

@@ -34,12 +34,13 @@ Reduction stops at the first reduced prefix row that certifies: short, and
 with R(0) != 0 for R(y) = A^(m+1) h(-C/A, y), f = A x + C, so not a multiple
 of f; that row alone is then read (Howgrave-Graham's lemma needs a short
 lattice vector, not a reduced basis).  Quadrant recentering (bounded
-recursion) buys a few bits of slack per level, and the bound margin of each
-box sets its schedule: at or above _SCHEDULE_MARGIN_BITS a degree-1 pass (9
-dims) goes first, on a box that can still split and on a box at the last
-level that a split produced; below it a box that can split sends its
-quadrants first, and its own pass runs only if they do not all certify.  A
-call without recentering gets one pass.
+recursion) buys a few bits of slack per level, and one rule, read off each
+box's bound margin, schedules every box: at or above _SCHEDULE_MARGIN_BITS a
+degree-1 pass (9 dims) goes first, then the degree-2 pass (16 dims), then
+the split; below it a box that can split sends its quadrants first, and its
+own pass runs only if they do not all certify.
+The solver has one configuration, the one every constant here was measured
+at: Lovasz delta _DELTA = 3/4 and shift degree _SHIFT_DEGREE = 2.
 Soundness is unconditional (every returned pair is verified by exact
 evaluation); a certified result's root list is complete for the box.
 """
@@ -78,23 +79,10 @@ class LatticeFailure(RuntimeError):
         self.margin_bits = margin_bits
 
 
-@dataclass(frozen=True)
-class ReductionParams:
-    """Tuning knobs: Lovasz delta in (1/4, 1) and the shift degree m.
-
-    The solver reduces at shift degree m, except that a box with a bound
-    margin of at least _SCHEDULE_MARGIN_BITS first tries degree 1 when it
-    can still split or is a last-level quadrant of a split; m is then its
-    fallback.  A call without recentering reduces at m alone."""
-
-    delta: Fraction = Fraction(3, 4)
-    shift_degree: int = 2
-
-    def __post_init__(self) -> None:
-        if not Fraction(1, 4) < self.delta < 1:
-            raise ValueError("delta must lie in (1/4, 1)")
-        if self.shift_degree < 1:
-            raise ValueError("shift_degree must be >= 1")
+# The Lovasz constant of every reduction, and the shift degree m of the
+# solver's main pass (a high-margin box tries m = 1 first)
+_DELTA = Fraction(3, 4)
+_SHIFT_DEGREE = 2
 
 
 def _validate_matrix(basis: IntegerMatrix) -> int:
@@ -119,7 +107,7 @@ def _to_double(x: int, shift: int) -> float:
     return ldexp(x >> e, e - shift) if e > 0 else ldexp(x, -shift)
 
 
-def _float_pass(b: IntegerMatrix, delta: float) -> IntegerMatrix:
+def _float_pass(b: IntegerMatrix) -> IntegerMatrix:
     """LLL with its decisions taken in doubles; b is updated in place and
     returned.
 
@@ -138,6 +126,7 @@ def _float_pass(b: IntegerMatrix, delta: float) -> IntegerMatrix:
     gram = [[sum(map(mul, u, v)) for v in b] for u in b]
     top_bits = max(gram[i][i].bit_length() for i in range(n))
     shift = max(top_bits - _GRAM_TOP_BITS, 0)
+    delta = float(_DELTA)
     # each exact swap shrinks prod_i d_i >= 1 by the factor delta
     swap_cap = int(top_bits * n * (n - 1) / (2 * log2(1 / delta))) + n
     # the Gram matrix in doubles, r[k][j] = <b_k, b*_j> for j < k and
@@ -242,10 +231,11 @@ def _float_pass(b: IntegerMatrix, delta: float) -> IntegerMatrix:
 #   pipeline, 48-bit N       16  2939-2992     1.02
 #   pipeline, 56-bit N       16  3437-3491     1.31
 #   pipeline, 64-bit N       16  3936-3990     1.18
-#   shift_degree=3, 18-bit   25  2014-2103     0.63
-#   shift_degree=3, 24-bit   25  2725-2812     0.78
-#   shift_degree=3, 28-bit   25  3193-3286     1.02
-#   shift_degree=3, 40-bit   25  4608-4695     1.10
+#   m=3, 18-bit             25  2014-2103     0.63
+#   m=3, 24-bit             25  2725-2812     0.78
+#   m=3, 28-bit             25  3193-3286     1.02
+#   m=3, 40-bit             25  4608-4695     1.10
+# (the m=3 bases are built only by tests, via _lattice_pass(..., 3))
 # Both dimensions cross between 2500 and 3200 bits.  Non-triangular bases
 # always take the float pass first, since no cheap bound on d_n sorts them:
 # it wins on uniform ones even when small (exact-only 1.30x slower on 16x16
@@ -276,7 +266,6 @@ def _triangular_gram_det(b: IntegerMatrix) -> int | None:
 
 def lll_reduce(
     basis: IntegerMatrix,
-    params: ReductionParams | None = None,
     *,
     stop: Callable[[IntegerMatrix, int], bool] | None = None,
 ) -> IntegerMatrix:
@@ -289,7 +278,7 @@ def lll_reduce(
     leaves its output as it is or finishes the reduction.  The returned
     basis therefore always comes out of the exact loop: it spans the same
     lattice (unimodular row transform), is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition with the given delta, exactly.  Raises
+    satisfies the Lovasz condition with delta = _DELTA, exactly.  Raises
     DependentRows if the rows are not independent.
 
     stop, if given, is called as stop(b, k) each time the exact loop first
@@ -300,14 +289,13 @@ def lll_reduce(
     reduced.  A basis that took the float pass is as a rule reduced by the
     first call already, so its calls come with little exact work between.
     """
-    params = params or ReductionParams()
     _validate_matrix(basis)
     b = [[int(x) for x in row] for row in basis]
     det = _triangular_gram_det(b)
     if det is None or det.bit_length() > _EXACT_ONLY_GRAM_BITS:
-        b = _float_pass(b, float(params.delta))
+        b = _float_pass(b)
     n = len(b)
-    dn, dd = params.delta.numerator, params.delta.denominator
+    dn, dd = _DELTA.numerator, _DELTA.denominator
     d = [0] * (n + 1)  # d[k] = Gram determinant of the first k rows
     d[0] = 1
     lam = [[0] * n for _ in range(n)]  # lam[i][j] = d[j+1] * mu[i][j]
@@ -460,21 +448,16 @@ def _solve_rational(
     return [[m[i][n + k] for i in range(n)] for k in range(len(rhs))]
 
 
-def check_reduction(
-    original: IntegerMatrix,
-    reduced: IntegerMatrix,
-    params: ReductionParams | None = None,
-) -> list[str]:
+def check_reduction(original: IntegerMatrix, reduced: IntegerMatrix) -> list[str]:
     """Re-derive every property a reduced basis must satisfy; return the list
     of violations (empty list means the output certifies).
 
     Checks: same lattice via an integer transform of determinant +-1, Gram
-    determinant preservation, exact size reduction, exact Lovasz condition,
-    and the first-vector bound ||b1|| <= alpha^((n-1)/4) * det^(1/n) with
-    alpha = 4/(4*delta - 1) (alpha = 2 at the default delta = 3/4), compared
+    determinant preservation, exact size reduction, exact Lovasz condition
+    at delta = _DELTA = 3/4, and the first-vector bound ||b1|| <=
+    alpha^((n-1)/4) * det^(1/n) with alpha = 4/(4*delta - 1) = 2, compared
     in integers after raising to the 4n-th power.
     """
-    params = params or ReductionParams()
     problems: list[str] = []
     if len(original) != len(reduced):
         return ["row count changed"]
@@ -515,15 +498,11 @@ def check_reduction(
             if abs(mu[i][j]) > Fraction(1, 2):
                 problems.append(f"size reduction violated at mu[{i}][{j}]")
     for k in range(1, n):
-        if norms[k] < (params.delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] < (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             problems.append(f"Lovasz condition violated at row {k}")
     b1_sq = sum(x * x for x in reduced[0])
-    # alpha = 4/(4*delta - 1); alpha > 0 because delta > 1/4
-    a_num = 4 * params.delta.denominator
-    a_den = 4 * params.delta.numerator - params.delta.denominator
-    lhs = b1_sq ** (2 * n) * a_den ** (n * (n - 1))
-    rhs = a_num ** (n * (n - 1)) * g_out**2
-    if g_out > 0 and lhs > rhs:
+    # ||b1||^(4n) <= alpha^(n(n-1)) det^4, with alpha = 2 and det^4 = g_out^2
+    if g_out > 0 and b1_sq ** (2 * n) > 2 ** (n * (n - 1)) * g_out**2:
         problems.append("first vector exceeds the alpha^((n-1)/4) det^(1/n) bound")
     return problems
 
@@ -559,10 +538,10 @@ def _is_root_in_box(f: BilinearPoly, x: int, y: int, X: int, Y: int) -> bool:
 
 
 def _lattice_pass(
-    f: BilinearPoly, X: int, Y: int, params: ReductionParams
+    f: BilinearPoly, X: int, Y: int, m: int
 ) -> tuple[set[tuple[int, int]], bool, bool]:
-    """One build-reduce-extract pass.  Returns (roots, saw_independent_h,
-    certified)."""
+    """One build-reduce-extract pass at shift degree m, on a lattice of
+    dimension (m + 2)^2.  Returns (roots, saw_independent_h, certified)."""
     # The pass works on f's primitive part, which has f's roots.  At a
     # modulus that is a multiple of the content, f's lattice is the content
     # times the primitive part's, so a pass on f and one on f / content
@@ -571,7 +550,6 @@ def _lattice_pass(
     c3, c2, c1, c0 = f.coefficients()
     content = gcd(c3, c2, c1, c0)
     c3, c2, c1, c0 = c3 // content, c2 // content, c1 // content, c0 // content
-    m = params.shift_degree
     # from the leading monomial down: x^a y^b f pivots on x^(a+1) y^(b+1),
     # or on x^(a+1) y^b when c3 = 0 (then c2 != 0, f being irreducible)
     mons = [(i, j) for i in range(m + 1, -1, -1) for j in range(m + 1, -1, -1)]
@@ -635,7 +613,7 @@ def _lattice_pass(
                 return True
         return False
 
-    reduced = lll_reduce(basis, params, stop=certifies)
+    reduced = lll_reduce(basis, stop=certifies)
     fx = [[c0, c1], [c2, c3]]  # f as a poly in x over Z[y]
     roots: set[tuple[int, int]] = set()
     saw_independent = False
@@ -676,11 +654,10 @@ def _recentered(f: BilinearPoly, cx: int, cy: int) -> BilinearPoly:
     )
 
 
-# A box that can still split, and a quadrant at the last level, follow
-# their bound margin (bits, bound_margin on the box in hand).  At or above
-# this margin a degree-1 pass (9 dims) runs first, and the pass at
-# params.shift_degree only when it does not certify; below it a box that
-# can split goes to its quadrants before its own pass.
+# Every box follows its bound margin (bits, bound_margin on the box in
+# hand).  At or above this margin a degree-1 pass (9 dims) runs first, and
+# the degree-2 pass only when it does not certify; below it a box that can
+# split goes to its quadrants before its own pass.
 # Every box the pass-first schedule (one pass at degree 2, then the split)
 # visits on solver corpus seeds 1-5, each re-run at both degrees; the time
 # ratio is summed over the band (2-core x86-64, CPython 3.11):
@@ -696,37 +673,31 @@ def _recentered(f: BilinearPoly, cx: int, cy: int) -> BilinearPoly:
 # closed-form basis), each re-run at both degrees, all sit at >= 4.5 bits:
 #   4.5-5       823/831          831/831             0.54
 #   >= 5       3009/3009        3009/3009            0.68
-# so such a quadrant also tries degree 1 first.
+# so such a quadrant tries degree 1 first, and so does every other box that
+# cannot split: of 400 planted recenter_depth=0 calls (18-33 bits, boxes 1-4
+# times the root's), the 47 at >= 4.5 bits certified 30 times at degree 1
+# alone and kept every root and certificate of their one degree-2 pass.
 _SCHEDULE_MARGIN_BITS = 4.5
 
 
 def _solve_box(
-    f: BilinearPoly,
-    X: int,
-    Y: int,
-    params: ReductionParams,
-    depth: int,
-    state: dict,
-    quadrant: bool = False,
+    f: BilinearPoly, X: int, Y: int, depth: int, state: dict
 ) -> tuple[set[tuple[int, int]], bool]:
     """Returns (verified roots, resolved).  resolved means a certified pass
-    covered this whole box (directly or via all sub-boxes).  quadrant means
-    a split produced the box.
+    covered this whole box (directly or via all sub-boxes).
 
-    A box that cannot split takes one pass at params, except that a
-    quadrant at or above _SCHEDULE_MARGIN_BITS first tries a degree-1 pass
-    and is resolved by it if it certifies.  A box that can split follows its
-    margin too.  Below it, the quadrants go first; unless they all resolve,
-    the box's own pass runs and its roots join theirs.  At or above it, a
-    degree-1 pass goes first, and the box is resolved by it if it
-    certifies; otherwise the pass at params runs and, if it neither
-    certifies nor finds a root, the box splits.  Either way the result holds
-    every root that one pass at params followed by the split on failure
+    One rule for every box.  At or above _SCHEDULE_MARGIN_BITS a degree-1
+    pass runs first, and the box is resolved by it if it certifies;
+    otherwise the degree-2 pass runs and, if it neither certifies nor finds
+    a root, the box splits where it can.  Below it, a box that can split
+    sends its quadrants first; unless they all resolve, the box's own
+    degree-2 pass runs and its roots join theirs.  Either way the result
+    holds every root that one degree-2 pass followed by the split on failure
     finds, and is resolved whenever that is.
     """
 
-    def run(p: ReductionParams) -> tuple[set[tuple[int, int]], bool]:
-        roots, indep, certified = _lattice_pass(f, X, Y, p)
+    def run(m: int) -> tuple[set[tuple[int, int]], bool]:
+        roots, indep, certified = _lattice_pass(f, X, Y, m)
         state["independent"] = state["independent"] or indep
         return roots, certified
 
@@ -737,7 +708,7 @@ def _solve_box(
         for cx in sorted({-(X - hx), X - hx}):
             for cy in sorted({-(Y - hy), Y - hy}):
                 sub_roots, sub_resolved = _solve_box(
-                    _recentered(f, cx, cy), hx, hy, params, depth - 1, state, True
+                    _recentered(f, cx, cy), hx, hy, depth - 1, state
                 )
                 all_resolved = all_resolved and sub_resolved
                 for (x, y) in sub_roots:
@@ -748,8 +719,6 @@ def _solve_box(
     hx = (X + 1) // 2 if X > 1 else X
     hy = (Y + 1) // 2 if Y > 1 else Y
     splits = depth > 0 and (hx < X or hy < Y)
-    if not (splits or quadrant):
-        return run(params)
     # A box that can split is wider than 1 on some side, so its height is
     # at least 2 and its margin defined: an f of height below 2 there would
     # have c3 = 0 and c1 or c2 = 0, so c1*c2 = c0*c3 (recentering keeps
@@ -764,24 +733,20 @@ def _solve_box(
         union, all_resolved = split()
         if all_resolved:
             return union, True
-        roots, certified = run(params)
+        roots, certified = run(_SHIFT_DEGREE)
         return roots | union, certified
-    if high and params.shift_degree > 1:
-        roots, certified = run(ReductionParams(params.delta, 1))
+    if high:
+        roots, certified = run(1)
         if certified:
             return roots, True
-    roots, certified = run(params)
+    roots, certified = run(_SHIFT_DEGREE)
     if certified or roots or not splits:
         return roots, certified
     return split()
 
 
 def coppersmith_bivariate(
-    f: BilinearPoly,
-    b: RootBounds,
-    params: ReductionParams | None = None,
-    *,
-    recenter_depth: int = 2,
+    f: BilinearPoly, b: RootBounds, *, recenter_depth: int = 2
 ) -> CoppersmithResult:
     """All integer roots of f the lattice machinery can find inside the box.
 
@@ -789,21 +754,20 @@ def coppersmith_bivariate(
     |y| <= Y.  When the result is certified the list is complete for the
     box; otherwise completeness follows the bound margin empirically and the
     return may be partial.  Passes run on the closed-form triangular basis,
-    and boxes split into quadrants recenter_depth levels deep.  With depth
-    left, a box below _SCHEDULE_MARGIN_BITS of margin splits before its own
-    pass, and one at or above it tries a degree-1 pass before the pass at
-    params.shift_degree.  A quadrant at depth 0 does the same, except that
-    it cannot split; recenter_depth=0 gives the box one pass at
-    params.shift_degree.
+    and boxes split into quadrants recenter_depth levels deep.  Every box,
+    this one included, follows one rule: at or above _SCHEDULE_MARGIN_BITS
+    of margin a degree-1 pass, then the degree-2 pass, then the split where
+    depth is left; below it the split first, then the box's own degree-2
+    pass.  So recenter_depth=0 gives a low-margin box one 16-dim pass, and
+    a high-margin box a 9-dim pass first.
     Raises ReducibleInput for reducible f and LatticeFailure when no pass
     yields roots or a certificate (callers fall back to sweeping).
     """
-    params = params or ReductionParams()
     if is_reducible(f):
         raise ReducibleInput("f must be irreducible (c0*c3 != c1*c2)")
     margin = bound_margin(f, b)
     state = {"independent": False}
-    roots, resolved = _solve_box(f, b.X, b.Y, params, recenter_depth, state)
+    roots, resolved = _solve_box(f, b.X, b.Y, recenter_depth, state)
     if roots or resolved:
         return CoppersmithResult(sorted(roots), margin, resolved)
     raise LatticeFailure(

@@ -123,7 +123,10 @@ def build_polynomial(
     c0 = (P0 + x0)(Q0 + y0) - N.
 
     f vanishes exactly at x1 = (p - P0 - x0)/B, y1 = (q - Q0 - y0)/B whenever
-    p*q = N and the residues match.  ignore_center_defect=True substitutes
+    p*q = N and the residues match.  With the y0 of solve_companion_residue,
+    c0 = 0 (mod B), so f = B*g; select_modulus and enumerate_residues keep
+    gcd(P0 + x0, B) = 1, so g is primitive and the content of f is exactly
+    B.  Also c1*c2 - c0*c3 = B^2 N.  ignore_center_defect=True substitutes
     the naive constant term (x0 + y0)*P0 + x0*y0, which shifts c0 by
     N - P0*Q0 and breaks the root identity unless P0*Q0 = N.
     """
@@ -170,7 +173,13 @@ def bound_margin(f: BilinearPoly, b: RootBounds) -> float:
     """(2/3)*log2(W) - log2(X*Y), in bits.
 
     Positive means the small-root solvability hypothesis XY < W**(2/3)
-    holds with that many bits of slack.
+    holds with that many bits of slack.  It reads W on f as given.  A
+    pipeline f is B times its primitive part g (build_polynomial), whose
+    height is W/B, so the margin on g is (2/3)*log2(B) lower (about
+    -(1/9)*log2(N) with the default box and B near N^(1/6)).  That gap is
+    why the paper's exponent reads 1/6: with B = N^e and a box matched to B
+    (X = Y about sqrt(N)/B), the bound on f needs e > 1/6, while Coppersmith
+    on g, the polynomial the lattice pass reduces, needs e > 1/4.
     """
     W = poly_height(f, b)
     if W < 2:

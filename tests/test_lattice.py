@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,6 @@ from factorlab.lattice import (
     DependentRows,
     LatticeFailure,
     ReducibleInput,
-    ReductionParams,
     check_reduction,
     coppersmith_bivariate,
     exhaustive_roots,
@@ -36,14 +34,23 @@ from factorlab.polybuild import (
 WORKED = BilinearPoly(25, 540, 540, 25)
 
 
-def test_reduction_params_validation():
-    ReductionParams()
-    with pytest.raises(ValueError):
-        ReductionParams(delta=Fraction(1, 4))
-    with pytest.raises(ValueError):
-        ReductionParams(delta=Fraction(5, 4))
-    with pytest.raises(ValueError):
-        ReductionParams(shift_degree=0)
+def _lll_bases(monkeypatch):
+    """Spy on lattice.lll_reduce: the list returned collects a copy of each
+    call's basis."""
+    bases = []
+    real = lattice.lll_reduce
+
+    def spy(basis, **kw):
+        bases.append([row[:] for row in basis])
+        return real(basis, **kw)
+
+    monkeypatch.setattr(lattice, "lll_reduce", spy)
+    return bases
+
+
+def _lll_dims(bases):
+    """The dimension of each basis the spy recorded."""
+    return [len(b) for b in bases]
 
 
 def test_lll_identity_fixed_point():
@@ -85,23 +92,6 @@ def test_lll_rectangular_basis():
     assert gram_det(basis) == gram_det(reduced)
 
 
-def test_lll_nondefault_delta():
-    rng = random.Random(8)
-    params = ReductionParams(delta=Fraction(99, 100))
-    basis = [[rng.randrange(-(1 << 30), 1 << 30) for _ in range(5)] for _ in range(5)]
-    reduced = lll_reduce(basis, params)
-    assert check_reduction(basis, reduced, params) == []
-
-
-def test_lll_small_delta_first_vector_bound():
-    # at delta = 1/2 the first-vector constant is 4^((n-1)/4), not 2^((n-1)/4);
-    # this basis reduces to a b1 between the two bounds
-    basis = [[-594583858472, 670438170976], [-646631186129, 10615045774]]
-    params = ReductionParams(delta=Fraction(1, 2))
-    reduced = lll_reduce(basis, params)
-    assert check_reduction(basis, reduced, params) == []
-
-
 @st.composite
 def _bases(draw):
     """Integer bases of 2..6 rows, up to 6 columns and entries of up to 900
@@ -114,47 +104,36 @@ def _bases(draw):
     return draw(st.lists(row, min_size=n, max_size=n))
 
 
-_DELTAS = st.sampled_from([Fraction(1, 2), Fraction(3, 4), Fraction(99, 100)])
-
-
 @settings(deadline=None)
-@given(_bases(), _DELTAS)
-def test_lll_output_passes_check_reduction(basis, delta):
-    params = ReductionParams(delta=delta)
+@given(_bases())
+def test_lll_output_passes_check_reduction(basis):
     if gram_det(basis) == 0:
         with pytest.raises(DependentRows):
-            lll_reduce(basis, params)
+            lll_reduce(basis)
         return
-    assert check_reduction(basis, lll_reduce(basis, params), params) == []
+    assert check_reduction(basis, lll_reduce(basis)) == []
 
 
 @settings(deadline=None)
-@given(_bases(), _DELTAS, st.lists(st.integers(-3, 3), min_size=6, max_size=6))
-def test_lll_dependent_rows_still_rejected(basis, delta, coeffs):
+@given(_bases(), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+def test_lll_dependent_rows_still_rejected(basis, coeffs):
     combo = [sum(c * row[t] for c, row in zip(coeffs, basis)) for t in range(len(basis[0]))]
     with pytest.raises(DependentRows):
-        lll_reduce(basis + [combo], ReductionParams(delta=delta))
+        lll_reduce(basis + [combo])
 
 
 def test_float_pass_alone_reduces_pipeline_lattices(monkeypatch):
     # the exact finish would repair a float pass that gives up early, so the
     # results would stay right while the speed-up is lost: check the float
     # pass's own output on the lattices the pipeline builds
-    captured = []
-    real = lattice.lll_reduce
-
-    def spy(basis, params=None, **kw):
-        captured.append([row[:] for row in basis])
-        return real(basis, params, **kw)
-
-    monkeypatch.setattr(lattice, "lll_reduce", spy)
+    captured = _lll_bases(monkeypatch)
     for bits in (40, 56):
         for seed in range(3):
             N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=seed))
             harness.run_pipeline(N, p)
     assert len(captured) >= 6
     for basis in captured:
-        reduced = lattice._float_pass([row[:] for row in basis], 0.75)
+        reduced = lattice._float_pass([row[:] for row in basis])
         assert check_reduction(basis, reduced) == []
 
 
@@ -302,6 +281,7 @@ def test_coppersmith_soundness_any_margin():
 
 
 def planted_instance(rng, bits):
+    """A planted f with its root (x1, y1) and its modulus B."""
     half = bits // 2
     while True:
         p = next_prime(rng.randrange(1 << (half - 1), 1 << half))
@@ -319,14 +299,14 @@ def planted_instance(rng, bits):
         f = build_polynomial(N, center, pr, y0)
         x1 = (p - center.P0 - x0) // B.value
         y1 = (q - center.Q0 - y0) // B.value
-        return f, x1, y1
+        return f, x1, y1, B.value
 
 
 def test_coppersmith_completeness_at_margin_two_sampled():
     rng = random.Random(424242)
     done = 0
     while done < 30:
-        f, x1, y1 = planted_instance(rng, rng.randrange(18, 34))
+        f, x1, y1, _B = planted_instance(rng, rng.randrange(18, 34))
         base = max(abs(x1), abs(y1), 1)
         bounds = RootBounds(base, base)
         if base > 1 << 10 or bound_margin(f, bounds) < 2.0:
@@ -345,7 +325,7 @@ def test_coppersmith_matches_exhaustive_at_margin_two(seed):
     # exhaustive scan finds
     rng = random.Random(seed)
     while True:
-        f, x1, y1 = planted_instance(rng, rng.randrange(16, 27))
+        f, x1, y1, _B = planted_instance(rng, rng.randrange(16, 27))
         side = max(abs(x1), abs(y1), 1)
         bounds = RootBounds(side, side)
         if side <= 1 << 8 and bound_margin(f, bounds) >= 2.0:
@@ -356,40 +336,35 @@ def test_coppersmith_matches_exhaustive_at_margin_two(seed):
 
 
 def _pipeline_poly(bits, seed):
+    """The pipeline's f for a seeded semiprime, its default box and B."""
     N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=seed))
     B, x0 = select_modulus(N, p)
     center = FactorCenter.balanced(N)
     pr = PartialResidue(B, x0)
     f = build_polynomial(N, center, pr, solve_companion_residue(N, center, pr))
-    return f, RootBounds.balanced(N)
+    return f, RootBounds.balanced(N), B.value
 
 
 def _solver_poly(seed):
+    """A planted f at margin >= 2 in its tight box, the box and B."""
     rng = random.Random(seed)
     while True:
-        f, x1, y1 = planted_instance(rng, rng.randrange(20, 23))
+        f, x1, y1, B = planted_instance(rng, rng.randrange(20, 23))
         side = max(abs(x1), abs(y1), 1)
         bounds = RootBounds(side, side)
         if bound_margin(f, bounds) >= 2.0:
-            return f, bounds
+            return f, bounds, B
 
 
 @pytest.mark.parametrize("depth, passes", [(0, 1), (1, 5)])
 def test_one_lattice_pass_per_box(monkeypatch, depth, passes):
     # a low-margin box that fails costs one pass at depth 0; at depth 1 its
     # four quadrants fail first, then its own pass runs: five passes
-    calls = []
-    real = lattice.lll_reduce
-
-    def spy(basis, params=None, **kw):
-        calls.append(len(basis))
-        return real(basis, params, **kw)
-
-    monkeypatch.setattr(lattice, "lll_reduce", spy)
-    f, bounds = _pipeline_poly(40, 0)
+    bases = _lll_bases(monkeypatch)
+    f, bounds, _B = _pipeline_poly(40, 0)
     with pytest.raises(LatticeFailure):
         coppersmith_bivariate(f, bounds, recenter_depth=depth)
-    assert len(calls) == passes
+    assert len(bases) == passes
 
 
 # 13x + 3 and 13y + 5 times each other, less their value at the root (2, -1).
@@ -434,15 +409,8 @@ def _scale(X, Y, m):
 def test_lattice_pass_basis_is_triangular_and_spans_the_old_lattice(monkeypatch, make):
     # the closed-form basis spans the lattice that integer_row_basis
     # echelonizes from the generators at the same working modulus
-    bases = []
-    real_lll = lattice.lll_reduce
-
-    def lll_spy(basis, params=None, **kw):
-        bases.append([row[:] for row in basis])
-        return real_lll(basis, params, **kw)
-
-    monkeypatch.setattr(lattice, "lll_reduce", lll_spy)
-    f, bounds = make()
+    bases = _lll_bases(monkeypatch)
+    f, bounds, *_ = make()
     X, Y, m = bounds.X, bounds.Y, 2
     try:
         coppersmith_bivariate(f, bounds, recenter_depth=0)
@@ -475,7 +443,7 @@ def test_lattice_pass_basis_is_triangular_and_spans_the_old_lattice(monkeypatch,
     # back in descending order) spans the lattice LLL reduced
     gens = _generators(g, X, Y, m, n_mod)
     old = integer_row_basis([row[::-1] for row in gens])
-    assert check_reduction([row[::-1] for row in old], real_lll(basis)) == []
+    assert check_reduction([row[::-1] for row in old], lll_reduce(basis)) == []
     if f is _C3_169:
         assert g.c3 == 13 and math.gcd(13, start) > 1 and n_mod > start
 
@@ -486,15 +454,14 @@ def test_lattice_pass_basis_is_triangular_and_spans_the_old_lattice(monkeypatch,
     ids=["pipeline-40", "pipeline-56", "solver"],
 )
 def test_lattice_pass_reads_the_primitive_part(make):
-    # a generated f has content B; its pass equals the pass on f / B
-    f, bounds = make()
-    B = math.gcd(*f.coefficients())
-    assert B > 1
+    # a generated f has content exactly its modulus B; its pass equals the
+    # pass on f / B
+    f, bounds, B = make()
+    assert math.gcd(*f.coefficients()) == B
     g = BilinearPoly(*(c // B for c in f.coefficients()))
     for m in (1, 2):
-        params = ReductionParams(shift_degree=m)
-        assert lattice._lattice_pass(f, bounds.X, bounds.Y, params) == lattice._lattice_pass(
-            g, bounds.X, bounds.Y, params
+        assert lattice._lattice_pass(f, bounds.X, bounds.Y, m) == lattice._lattice_pass(
+            g, bounds.X, bounds.Y, m
         )
 
 
@@ -513,48 +480,40 @@ def test_lll_first_stage_follows_the_input(monkeypatch):
     # the float pass runs on every non-triangular basis and on triangular
     # ones whose Gram determinant reaches 2**_EXACT_ONLY_GRAM_BITS; the
     # exact loop alone reduces the rest
-    cases = []
-    real_lll = lattice.lll_reduce
-
-    def lll_spy(basis, params=None, **kw):
-        cases.append(([row[:] for row in basis], params))
-        return real_lll(basis, params, **kw)
-
-    monkeypatch.setattr(lattice, "lll_reduce", lll_spy)
+    cases = _lll_bases(monkeypatch)
     for bits in (24, 40, 56):
         N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=0))
         harness.run_pipeline(N, p)
     for seed in (3, 4):
-        f, bounds = _solver_poly(seed)
+        f, bounds, _B = _solver_poly(seed)
         coppersmith_bivariate(f, bounds)
-    f, bounds = _pipeline_poly(18, 0)
-    with pytest.raises(LatticeFailure):
-        coppersmith_bivariate(f, bounds, ReductionParams(shift_degree=3), recenter_depth=0)
-    monkeypatch.setattr(lattice, "lll_reduce", real_lll)
-    assert len(cases[-1][0]) == 25
+    # the 25-dim basis of shift degree 3, which only tests build
+    f, bounds, _B = _pipeline_poly(18, 0)
+    lattice._lattice_pass(f, bounds.X, bounds.Y, 3)
+    assert len(cases[-1]) == 25
     rng = random.Random(77)
     for dim in (6, 10):
-        cases.append(([[rng.randrange(-(1 << 60), 1 << 60) for _ in range(dim)]
-                       for _ in range(dim)], None))
-        cases.append(([[int(i == j) for j in range(dim)] + [(1 << 20) * rng.getrandbits(200)]
-                       for i in range(dim)], None))
+        cases.append([[rng.randrange(-(1 << 60), 1 << 60) for _ in range(dim)]
+                      for _ in range(dim)])
+        cases.append([[int(i == j) for j in range(dim)] + [(1 << 20) * rng.getrandbits(200)]
+                      for i in range(dim)])
 
     float_calls = []
     real_float = lattice._float_pass
 
-    def float_spy(b, delta):
+    def float_spy(b):
         float_calls.append(len(b))
-        return real_float(b, delta)
+        return real_float(b)
 
     monkeypatch.setattr(lattice, "_float_pass", float_spy)
     kinds = set()
-    for basis, params in cases:
+    for basis in cases:
         triangular = _is_triangular(basis)
         expect = not triangular or gram_det(basis) >= 1 << lattice._EXACT_ONLY_GRAM_BITS
         before = len(float_calls)
-        reduced = lll_reduce(basis, params)
+        reduced = lll_reduce(basis)
         assert (len(float_calls) > before) == expect
-        assert check_reduction(basis, reduced, params) == []
+        assert check_reduction(basis, reduced) == []
         kinds.add((triangular, expect))
     # exact alone (24, 40 bits, solver, 25-dim), float first (56 bits),
     # and non-triangular (uniform and knapsack) all occur
@@ -563,19 +522,10 @@ def test_lll_first_stage_follows_the_input(monkeypatch):
 
 def _solver_basis(seed):
     """The basis the solver's top pass hands to lll_reduce."""
-    f, bounds = _solver_poly(seed)
-    captured = []
-    real = lattice.lll_reduce
-
-    def spy(basis, params=None, **kw):
-        captured.append([row[:] for row in basis])
-        return real(basis, params, **kw)
-
-    lattice.lll_reduce = spy
-    try:
+    f, bounds, _B = _solver_poly(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        captured = _lll_bases(mp)
         coppersmith_bivariate(f, bounds, recenter_depth=0)
-    finally:
-        lattice.lll_reduce = real
     return captured[0]
 
 
@@ -610,9 +560,9 @@ def test_lll_stop_runs_in_the_exact_loop_after_the_float_pass(monkeypatch):
     events = []
     real_float = lattice._float_pass
 
-    def float_spy(b, delta):
+    def float_spy(b):
         events.append("float")
-        return real_float(b, delta)
+        return real_float(b)
 
     def stop(b, k):
         events.append(k)
@@ -630,17 +580,17 @@ def test_early_exit_keeps_roots_and_certificates(monkeypatch):
     real = lattice.lll_reduce
     fired = []
 
-    def full(basis, params=None, *, stop=None):
-        return real(basis, params)
+    def full(basis, *, stop=None):
+        return real(basis)
 
-    def watched(basis, params=None, *, stop=None):
+    def watched(basis, *, stop=None):
         def spy(b, k):
             hit = stop(b, k)
             if hit:
                 fired.append(k)
             return hit
 
-        return real(basis, params, stop=spy)
+        return real(basis, stop=spy)
 
     def solve(lll, f, bounds, depth):
         monkeypatch.setattr(lattice, "lll_reduce", lll)
@@ -654,7 +604,7 @@ def test_early_exit_keeps_roots_and_certificates(monkeypatch):
     want = dict.fromkeys(range(-1, 7), 5)
     stopped_high = []
     while any(want.values()):
-        f, x1, y1 = planted_instance(rng, rng.randrange(18, 34))
+        f, x1, y1, _B = planted_instance(rng, rng.randrange(18, 34))
         base = max(abs(x1), abs(y1), 1)
         bounds = RootBounds(base * rng.choice((1, 2, 4)), base * rng.choice((1, 2, 4)))
         margin = bound_margin(f, bounds)
@@ -677,11 +627,11 @@ def test_early_exit_keeps_roots_and_certificates(monkeypatch):
     assert stopped_high and min(stopped_high) <= 8
 
 
-def _pass_first_box(f, X, Y, params, depth):
-    """The schedule before margins, kept as the oracle: one pass at params
+def _pass_first_box(f, X, Y, depth):
+    """The schedule before margins, kept as the oracle: one pass at degree 2
     per box, and the four quadrants when it neither certifies nor finds a
     root.  Returns (roots, resolved)."""
-    roots, _indep, certified = lattice._lattice_pass(f, X, Y, params)
+    roots, _indep, certified = lattice._lattice_pass(f, X, Y, 2)
     if certified or roots:
         return roots, certified
     hx = (X + 1) // 2 if X > 1 else X
@@ -691,7 +641,7 @@ def _pass_first_box(f, X, Y, params, depth):
         for cx in sorted({-(X - hx), X - hx}):
             for cy in sorted({-(Y - hy), Y - hy}):
                 sub_roots, sub_resolved = _pass_first_box(
-                    lattice._recentered(f, cx, cy), hx, hy, params, depth - 1
+                    lattice._recentered(f, cx, cy), hx, hy, depth - 1
                 )
                 all_resolved = all_resolved and sub_resolved
                 union |= {
@@ -704,7 +654,7 @@ def _pass_first_box(f, X, Y, params, depth):
 
 
 def _schedule_keeps_the_pass_first_result(f, bounds, depth):
-    ref_roots, ref_resolved = _pass_first_box(f, bounds.X, bounds.Y, ReductionParams(), depth)
+    ref_roots, ref_resolved = _pass_first_box(f, bounds.X, bounds.Y, depth)
     try:
         res = coppersmith_bivariate(f, bounds, recenter_depth=depth)
     except LatticeFailure:
@@ -727,7 +677,7 @@ def test_margin_schedule_keeps_every_pass_first_root_and_certificate():
     want = {(m, d): 2 for m in range(-1, 8) for d in range(3)}
     gained = 0
     while any(want.values()):
-        f, x1, y1 = planted_instance(rng, rng.randrange(18, 34))
+        f, x1, y1, _B = planted_instance(rng, rng.randrange(18, 34))
         base = max(abs(x1), abs(y1), 1)
         bounds = RootBounds(base * rng.choice((1, 2, 4)), base * rng.choice((1, 2, 4)))
         if max(bounds.X, bounds.Y) > 1 << 10:
@@ -756,43 +706,23 @@ def test_box_of_height_below_two_is_a_low_margin_box():
 
 
 def test_high_margin_box_is_certified_by_one_degree_one_pass(monkeypatch):
-    calls = []
-    real = lattice.lll_reduce
-
-    def spy(basis, params=None, **kw):
-        calls.append(len(basis))
-        return real(basis, params, **kw)
-
     rng = random.Random(3)
     while True:
-        f, x1, y1 = planted_instance(rng, rng.randrange(20, 23))
+        f, x1, y1, _B = planted_instance(rng, rng.randrange(20, 23))
         side = max(abs(x1), abs(y1), 1)
         bounds = RootBounds(side, side)
         if bound_margin(f, bounds) >= 5:
             break
-    monkeypatch.setattr(lattice, "lll_reduce", spy)
+    bases = _lll_bases(monkeypatch)
     res = coppersmith_bivariate(f, bounds)
-    assert calls == [9]
+    assert _lll_dims(bases) == [9]
     assert res.certified and (x1, y1) in res.roots
     assert res.roots == exhaustive_roots(f, bounds)
 
 
-def _lll_dims(monkeypatch):
-    """Spy on lll_reduce: the list it fills holds each call's dimension."""
-    calls = []
-    real = lattice.lll_reduce
-
-    def spy(basis, params=None, **kw):
-        calls.append(len(basis))
-        return real(basis, params, **kw)
-
-    monkeypatch.setattr(lattice, "lll_reduce", spy)
-    return calls
-
-
 def _planted_at_margin(rng, lo, hi):
     while True:
-        f, x1, y1 = planted_instance(rng, rng.randrange(20, 23))
+        f, x1, y1, _B = planted_instance(rng, rng.randrange(20, 23))
         side = max(abs(x1), abs(y1), 1)
         bounds = RootBounds(side, side)
         if lo <= bound_margin(f, bounds) < hi:
@@ -800,17 +730,16 @@ def _planted_at_margin(rng, lo, hi):
 
 
 def test_split_leaf_tries_degree_one_first(monkeypatch):
-    # a box at the last level that a split produced, at >= 4.5 bits, makes
-    # a 9-dim call before any 16-dim one
-    calls = _lll_dims(monkeypatch)
+    # a box at the last level, at >= 4.5 bits, makes a 9-dim call before
+    # any 16-dim one
+    bases = _lll_bases(monkeypatch)
     rng = random.Random(21)
     for lo in (lattice._SCHEDULE_MARGIN_BITS, 5.0, 6.0):
         f, bounds = _planted_at_margin(rng, lo, lo + 0.5)
-        calls.clear()
+        bases.clear()
         state = {"independent": False}
-        roots, resolved = lattice._solve_box(
-            f, bounds.X, bounds.Y, ReductionParams(), 0, state, True
-        )
+        roots, resolved = lattice._solve_box(f, bounds.X, bounds.Y, 0, state)
+        calls = _lll_dims(bases)
         assert calls[0] == 9 and set(calls) <= {9, 16}
         assert resolved and sorted(roots) == exhaustive_roots(f, bounds)
     # through the split: a low-margin box at depth 1 goes to its quadrants
@@ -825,27 +754,32 @@ def test_split_leaf_tries_degree_one_first(monkeypatch):
         ]
         if all(bound_margin(q, qb) >= lattice._SCHEDULE_MARGIN_BITS for q, qb in quads):
             break
-    calls.clear()
+    bases.clear()
     res = coppersmith_bivariate(f, bounds, recenter_depth=1)
+    calls = _lll_dims(bases)
     assert calls[0] == 9
     assert all(calls[i - 1] == 9 for i, dim in enumerate(calls) if dim == 16)
     assert calls.count(9) == len(quads)
     assert res.certified and res.roots == exhaustive_roots(f, bounds)
 
 
-def test_depth_zero_call_keeps_its_one_pass(monkeypatch):
-    # recenter_depth=0 (the pipeline and the residue enumeration) makes
-    # exactly one pass at the given degree, at any margin
-    calls = _lll_dims(monkeypatch)
+def test_depth_zero_call_follows_the_margin(monkeypatch):
+    # recenter_depth=0 (the pipeline and the residue enumeration) follows the
+    # rule of every box: below 4.5 bits one 16-dim pass, at or above it a
+    # 9-dim pass first and the 16-dim one only if that does not certify
+    bases = _lll_bases(monkeypatch)
     rng = random.Random(22)
-    for lo, hi in ((2.0, 3.0), (4.5, 5.0), (6.0, 9.0)):
+    for lo, hi in ((2.0, 3.0), (3.5, 4.5), (4.5, 5.0), (6.0, 9.0)):
         f, bounds = _planted_at_margin(rng, lo, hi)
-        calls.clear()
+        bases.clear()
         try:
             coppersmith_bivariate(f, bounds, recenter_depth=0)
         except LatticeFailure:
             pass
-        assert calls == [16]
+        if lo < lattice._SCHEDULE_MARGIN_BITS:
+            assert _lll_dims(bases) == [16]
+        else:
+            assert _lll_dims(bases) in ([9], [9, 16])
 
 
 @pytest.mark.parametrize("depth", [0, 2])

@@ -112,6 +112,10 @@ def test_root_identity_random_balanced():
         x1 = (p - center.P0 - pr.x0) // B
         y1 = (q - center.Q0 - y0) // B
         assert f.evaluate(x1, y1) == 0
+        # f = B*g with g primitive, and c1*c2 - c0*c3 = B^2 N
+        c3, c2, c1, c0 = f.coefficients()
+        assert math.gcd(c3, c2, c1, c0) == B
+        assert c1 * c2 - c0 * c3 == B * B * N
         # congruence consistency with the true cofactor
         assert y0 == (q - center.Q0) % B
         # the mod-B reduction identity for the computed y0
