@@ -6,6 +6,8 @@ exactly one square test, and compares the shifted-center search's measured
 steps against the predicted cycle count.
 """
 
+import sys
+
 from factorlab import (
     compute_initial_u,
     fermat_factor,
@@ -14,6 +16,7 @@ from factorlab import (
     next_prime,
     shifted_fermat,
 )
+from factorlab.cli import run_piped
 
 
 def main():
@@ -63,4 +66,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

@@ -8,6 +8,8 @@ integer point, and recovers the factor from that root.  Also shows why the
 constant term must carry the center defect isqrt(N)^2 - N.
 """
 
+import sys
+
 from factorlab import (
     FactorCenter,
     PartialResidue,
@@ -20,6 +22,7 @@ from factorlab import (
     select_modulus,
     solve_companion_residue,
 )
+from factorlab.cli import run_piped
 
 
 def main():
@@ -79,4 +82,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

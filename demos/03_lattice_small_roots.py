@@ -8,6 +8,7 @@ exhaustive oracle both times.
 """
 
 import random
+import sys
 
 from factorlab import (
     BilinearPoly,
@@ -20,6 +21,7 @@ from factorlab import (
     gram_det,
     lll_reduce,
 )
+from factorlab.cli import run_piped
 
 
 def main():
@@ -60,4 +62,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

@@ -8,7 +8,10 @@ the default box X = Y = floor(N^(1/3)) leaves essentially zero solvability
 slack at every modulus size.
 """
 
+import sys
+
 from factorlab import SemiprimeSpec, bound_scan, experiment_run, factor_auto
+from factorlab.cli import run_piped
 
 
 def main():
@@ -55,4 +58,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_piped(main))

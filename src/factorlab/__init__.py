@@ -1,10 +1,10 @@
 """factorlab: a deterministic integer-factorization laboratory.
 
 Exact difference-of-squares searches with cycle accounting, partial-residue
-bilinear factoring polynomials, an all-integer LLL (alone on small triangular
-bases, after a float-guided pass on the rest) with a certified property
-checker, a bivariate small-root solver, and a reproducible experiment
-harness around them.
+bilinear factoring polynomials, one all-integer LLL for every basis (its
+swap test screened by bit lengths and doubles, its answers exact) with a
+certified property checker, a bivariate small-root solver, and a
+reproducible experiment harness around them.
 """
 
 from .fermat import (

@@ -13,6 +13,7 @@ import os
 import random
 import sys
 import time
+from typing import Callable
 
 from . import fermat, harness, lattice, ntheory
 from .harness import Balance, Method, SemiprimeSpec
@@ -195,17 +196,24 @@ def _cmd_lll_check(args) -> int:
     return 0 if bad == 0 else 2
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def run_piped(run: Callable[[], int | None]) -> int | None:
+    """run() and its exit status, or 1 without a traceback if the reader of
+    stdout closes the pipe early (the demos run their main through it too)."""
     try:
-        status = args.run(args)
+        status = run()
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # the reader closed the pipe: send what is still buffered to devnull,
-        # so the interpreter's flush at exit raises nothing more
+        # send what is still buffered to devnull, so the interpreter's flush
+        # at exit raises nothing more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return run_piped(lambda: args.run(args))
     except (OSError, ValueError, harness.GenerationExhausted) as exc:
         print(str(exc), file=sys.stderr)
         return 1

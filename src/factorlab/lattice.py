@@ -1,20 +1,16 @@
 """Exact lattice reduction and a bivariate small-root solver.
 
-lll_reduce ends in the all-integer LLL (Gram determinants d_i and scaled
-Gram-Schmidt coefficients lambda_ij stay integral throughout), so size
-reduction and the Lovasz condition of the result hold exactly, not up to
-rounding.  Whether a floating-point pass runs first depends on the input.
-A triangular basis (each row adds one new nonzero coordinate, the shape the
-solver builds) has its Gram determinant d_n, the bound on the exact loop's
-integers, known up front as the product of its squared pivots; below
-2**_EXACT_ONLY_GRAM_BITS the exact loop runs alone.  Every other basis first
-goes through a pass in the style of Schnorr-Euchner and Nguyen-Stehle's L2,
-which takes its size-reduction and swap decisions from a double-precision
-Cholesky factorisation of the Gram matrix while the basis and the Gram
-matrix themselves stay exact integers; every row operation is unimodular,
-so whatever the doubles decide, the pass returns a basis of the same
-lattice, and the exact loop either confirms it untouched or finishes the
-reduction.  check_reduction re-derives every claimed property of a reduced
+lll_reduce is the all-integer LLL (Gram determinants d_i and scaled
+Gram-Schmidt coefficients lambda_ij stay integral throughout), run on every
+basis, so size reduction and the Lovasz condition of the result hold
+exactly, not up to rounding.  Only its swap test is screened: _lovasz_swap
+settles most tests from bit lengths or from doubles whose rounding error it
+bounds, and multiplies the integers out only on near-ties, so its answer is
+always the exact one.  A float-guided first pass would not speed up the
+bases the solver and the pipeline build; it pays only on inputs no workload
+runs (without one, uniform random bases and knapsack bases with 600-bit
+entries reduce 1.2-1.3x slower, and those with 40-400-bit entries 1.05-1.9x
+faster).  check_reduction re-derives every claimed property of a reduced
 basis from scratch with rational arithmetic.
 
 coppersmith_bivariate finds integer roots (x, y) of a bilinear f with |x| <=
@@ -49,8 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import fsum, gcd, inf, ldexp, log2
-from operator import mul
+from math import gcd, ldexp
 from typing import Callable
 
 from ._intpoly import Poly, bareiss_det, integer_roots, ptrim, sylvester_resultant
@@ -79,8 +74,9 @@ class LatticeFailure(RuntimeError):
         self.margin_bits = margin_bits
 
 
-# The Lovasz constant of every reduction, and the shift degree m of the
-# solver's main pass (a high-margin box tries m = 1 first)
+# The Lovasz constant of every reduction (_lovasz_swap has its 3 and 4
+# written in), and the shift degree m of the solver's main pass (a
+# high-margin box tries m = 1 first)
 _DELTA = Fraction(3, 4)
 _SHIFT_DEGREE = 2
 
@@ -94,174 +90,51 @@ def _validate_matrix(basis: IntegerMatrix) -> int:
     return width
 
 
-# Gram entries are scaled so that the largest diagonal entry sits near
-# 2**_GRAM_TOP_BITS, leaving headroom below the double overflow at 2**1024
-_GRAM_TOP_BITS = 960
+def _lovasz_swap(a: int, c: int, m: int, l: int) -> bool:
+    """4*a*c < 3*m*m - 4*l*l, for a, c, m > 0 and 2*|l| <= m.
 
-
-def _to_double(x: int, shift: int) -> float:
-    """x * 2**-shift as a double.  Only the top 53 bits of x are converted,
-    with x's own exponent restored by ldexp, so the int-to-float step cannot
-    overflow however large x is."""
-    e = x.bit_length() - 53
-    return ldexp(x >> e, e - shift) if e > 0 else ldexp(x, -shift)
-
-
-def _float_pass(b: IntegerMatrix) -> IntegerMatrix:
-    """LLL with its decisions taken in doubles; b is updated in place and
-    returned.
-
-    The basis and its Gram matrix stay exact Python ints.  For the row k in
-    hand, r and mu come from a Cholesky step on the exact Gram entries;
-    size reduction is lazy, as in L2: each round subtracts the rounded mu
-    multiples of the earlier rows, updates the row's Gram entries exactly
-    and recomputes mu, until every |mu| <= 1/2 in doubles or a round stops
-    shrinking the largest |mu| (a mu within rounding of +-1/2).  Rows swap
-    on the float Lovasz test.  The pass stops early, returning the basis it
-    has, on a non-finite double or a division by zero, and after more swaps
-    than exact LLL can make on this input; either way every row operation
-    was unimodular, so b still spans the input lattice.
+    This is the exact loop's swap test, the Lovasz condition at delta = 3/4
+    failing (a, c, m = d[k+1], d[k-1], d[k] and l = lam[k][k-1] of the
+    size-reduced row k).  The answer is always the integer comparison's, but
+    the products of numbers of thousands of bits are only formed when two
+    cheaper screens leave the test open.
     """
-    n = len(b)
-    gram = [[sum(map(mul, u, v)) for v in b] for u in b]
-    top_bits = max(gram[i][i].bit_length() for i in range(n))
-    shift = max(top_bits - _GRAM_TOP_BITS, 0)
-    delta = float(_DELTA)
-    # each exact swap shrinks prod_i d_i >= 1 by the factor delta
-    swap_cap = int(top_bits * n * (n - 1) / (2 * log2(1 / delta))) + n
-    # the Gram matrix in doubles, r[k][j] = <b_k, b*_j> for j < k and
-    # rr[k] = ||b*_k||^2, all scaled by 2**-shift; mu[k][j] = r[k][j] / rr[j]
-    fgram = [[_to_double(g, shift) for g in row] for row in gram]
-    mu: list[list[float]] = [[] for _ in range(n)]
-    r: list[list[float]] = [[] for _ in range(n)]
-    rr = [0.0] * n
-
-    def gso_row(k: int) -> bool:
-        fk = fgram[k]
-        rk: list[float] = []
-        muk: list[float] = []
-        for j in range(k):
-            s = fk[j] - fsum(map(mul, mu[j], rk))
-            rk.append(s)
-            muk.append(s / rr[j])
-        s = fk[k] - fsum(map(mul, muk, rk))
-        r[k], mu[k], rr[k] = rk, muk, s
-        return -inf < s < inf  # a nan or inf anywhere in the row reaches s
-
-    def size_reduce(k: int) -> bool:
-        shrunk = inf
-        while True:
-            if not gso_row(k):
-                return False
-            muk = mu[k]
-            top = max(map(abs, muk))
-            if top <= 0.5 or top >= shrunk:
-                return True
-            shrunk = top
-            xs = muk[:]
-            coeffs = []
-            for j in range(k - 1, -1, -1):
-                x = round(xs[j])
-                if x:
-                    coeffs.append((j, x))
-                    xs[:j] = [a - x * c for a, c in zip(xs, mu[j])]
-            bk, gk = b[k], gram[k]
-            for j, x in coeffs:
-                bk = [u - x * v for u, v in zip(bk, b[j])]
-                gj = gram[j]
-                gkk = gk[k] - x * (2 * gk[j] - x * gj[j])
-                gk = [g - x * h for g, h in zip(gk, gj)]
-                gk[k] = gkk
-            fk = [_to_double(g, shift) for g in gk]
-            b[k], gram[k], fgram[k] = bk, gk, fk
-            for i in range(n):
-                gram[i][k] = gk[i]
-                fgram[i][k] = fk[i]
-
-    swaps = 0
-    try:
-        rr[0] = fgram[0][0]
-        k = 1
-        reduced = False  # row k is size-reduced and its r, mu are current
-        while k < n:
-            if not reduced and not size_reduce(k):
-                return b
-            m = mu[k][k - 1]
-            if (delta - m * m) * rr[k - 1] <= rr[k]:
-                k += 1
-                reduced = False
-                continue
-            swaps += 1
-            if swaps > swap_cap:
-                return b
-            b[k - 1], b[k] = b[k], b[k - 1]
-            for g in (gram, fgram):
-                g[k - 1], g[k] = g[k], g[k - 1]
-                for row in g:
-                    row[k - 1], row[k] = row[k], row[k - 1]
-            if k == 1:
-                rr[0] = fgram[0][0]
-                reduced = False
-            else:
-                # b_k moves to k-1: its r and mu against rows 0..k-2 stand,
-                # and only its diagonal entry changes
-                rk, muk = r[k][:-1], mu[k][:-1]
-                r[k - 1], mu[k - 1] = rk, muk
-                rr[k - 1] = fgram[k - 1][k - 1] - fsum(map(mul, muk, rk))
-                k -= 1
-                reduced = True
-    except (ArithmeticError, ValueError):
-        # a double overflowed, a norm was zero, or round() met inf or nan
-        pass
-    return b
-
-
-# A triangular basis whose Gram determinant d_n has at most this many bits
-# goes to the exact loop alone: the loop's integers d_k are bounded by d_n,
-# and below this size the float pass costs more than it saves.  Exact-only
-# time / float-pass-plus-exact time of full reductions of the closed-form
-# bases the solver and the pipeline build (median of 5 repeats per call,
-# summed over the calls, 2-core x86-64, CPython 3.11):
-#   family                  dim  d_n bits     ratio
-#   solver, 20-22-bit N       9    210-389     0.59
-#   solver, 20-22-bit N      16    134-801     0.60
-#   pipeline, 24-bit N       16  1445-1497     0.77
-#   pipeline, 32-bit N       16  1942-1995     0.80
-#   pipeline, 40-bit N       16  2442-2494     0.99
-#   pipeline, 48-bit N       16  2939-2992     1.02
-#   pipeline, 56-bit N       16  3437-3491     1.31
-#   pipeline, 64-bit N       16  3936-3990     1.18
-#   m=3, 18-bit             25  2014-2103     0.63
-#   m=3, 24-bit             25  2725-2812     0.78
-#   m=3, 28-bit             25  3193-3286     1.02
-#   m=3, 40-bit             25  4608-4695     1.10
-# (the m=3 bases are built only by tests, via _lattice_pass(..., 3))
-# Both dimensions cross between 2500 and 3200 bits.  Non-triangular bases
-# always take the float pass first, since no cheap bound on d_n sorts them:
-# it wins on uniform ones even when small (exact-only 1.30x slower on 16x16
-# 60-bit, 1.72x on 8x8 200-bit) and on knapsack [I | 2**20 * a_i] with
-# 600-bit a_i (1.34-1.41x), and loses on knapsack with a_i of at most 400
-# bits (0.51-0.94x).
-_EXACT_ONLY_GRAM_BITS = 3000
-
-
-def _triangular_gram_det(b: IntegerMatrix) -> int | None:
-    """The Gram determinant of b if b is triangular, else None.
-
-    Triangular means each row adds exactly one new nonzero coordinate to the
-    rows before it.  The first k rows then span the coordinate subspace of
-    their k pivots, so ||b*_k|| is |k-th pivot| and d_n the product of the
-    squared pivots.
-    """
-    seen: set[int] = set()
-    det = 1
-    for row in b:
-        new = [t for t, v in enumerate(row) if v and t not in seen]
-        if len(new) != 1:
-            return None
-        seen.add(new[0])
-        det *= row[new[0]] ** 2
-    return det
+    # Bit lengths: the right side lies in [2 m^2, 3 m^2], inside
+    # [2^(2M-1), 2^(2M+2)), and the left side in [2^A, 2^(A+2)).
+    M = m.bit_length()
+    A = a.bit_length()
+    C = c.bit_length()
+    span = A + C - 2 * M
+    if span <= -3:
+        return True
+    if span >= 2:
+        return False
+    # Doubles, from the top 60 bits of a, c and m; l shares m's shift.  Let
+    # u = 2^-53 and scale both sides by 2^-2em, so m' = m 2^-em < 2^60 and,
+    # with |span| <= 2, the left side L' < 2^123: nothing overflows.  A
+    # truncated operand errs by less than 2^-59 of itself (its kept part is
+    # at least 2^59, unless nothing was cut) and float() adds u, so the left
+    # side, two operands and one rounded product, errs by under 3.1u.  On
+    # the right, 3 m'^2 errs by under 4.1u (two roundings more), and 4 l'^2
+    # by under 3.2u of m'^2: three roundings of a term at most m'^2, as
+    # |l'| <= m'/2, plus the floor of l', off by less than 1, which moves
+    # 4 l'^2 by at most 4(m' + 1) < 2^-56 m'^2 when m' >= 2^59 (and by
+    # nothing when em = 0).  As the right side R' is at least 2 m'^2, its
+    # terms err by under (12.3u + 3.2u) / 2 < 7.8u of R', 8.8u after the
+    # subtraction rounds.  So the doubles lhs, rhs miss the true sides by
+    # under 2^-49 (lhs + rhs) <= 2^-48 lhs + 2^-49 |lhs - rhs|, which is less
+    # than |lhs - rhs| once that exceeds 2^-40 lhs: the sign of lhs - rhs is
+    # then the integers'.  Closer ties go to the integers.
+    ea = A - 60 if A > 60 else 0
+    ec = C - 60 if C > 60 else 0
+    em = M - 60 if M > 60 else 0
+    lhs = ldexp(4 * float(a >> ea) * float(c >> ec), ea + ec - 2 * em)
+    fm = float(m >> em)
+    fl = float(l >> em)
+    rhs = 3 * fm * fm - 4 * fl * fl
+    if abs(lhs - rhs) > lhs * 2**-40:
+        return lhs < rhs
+    return 4 * a * c < 3 * m * m - 4 * l * l
 
 
 def lll_reduce(
@@ -269,33 +142,26 @@ def lll_reduce(
     *,
     stop: Callable[[IntegerMatrix, int], bool] | None = None,
 ) -> IntegerMatrix:
-    """LLL-reduce a basis of row vectors.
+    """LLL-reduce a basis of row vectors with the all-integer LLL.
 
-    A triangular basis whose Gram determinant has at most
-    _EXACT_ONLY_GRAM_BITS bits goes straight to the all-integer LLL below.
-    Any other basis first passes through _float_pass, which does the bulk of
-    the reduction with exact row operations; the exact loop then either
-    leaves its output as it is or finishes the reduction.  The returned
-    basis therefore always comes out of the exact loop: it spans the same
-    lattice (unimodular row transform), is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition with delta = _DELTA, exactly.  Raises
-    DependentRows if the rows are not independent.
+    Gram determinants d_k and scaled Gram-Schmidt coefficients lam stay
+    integral throughout, so the returned basis spans the same lattice
+    (unimodular row transform), is size-reduced (|mu_ij| <= 1/2) and
+    satisfies the Lovasz condition with delta = _DELTA, exactly.  The swap
+    test is _lovasz_swap, which answers as the integer comparison does but
+    mostly from bit lengths and doubles.  Raises DependentRows if the rows
+    are not independent.
 
-    stop, if given, is called as stop(b, k) each time the exact loop first
+    stop, if given, is called as stop(b, k) each time the loop first
     reaches row k (k = 1..n-1, in order).  At that point rows 0..k-1 of b
     are LLL-reduced and every row of b is a lattice vector, since only
     unimodular operations were applied; if stop returns True, b is returned
     as it stands, a basis of the input lattice whose first k rows are
-    reduced.  A basis that took the float pass is as a rule reduced by the
-    first call already, so its calls come with little exact work between.
+    reduced.
     """
     _validate_matrix(basis)
     b = [[int(x) for x in row] for row in basis]
-    det = _triangular_gram_det(b)
-    if det is None or det.bit_length() > _EXACT_ONLY_GRAM_BITS:
-        b = _float_pass(b)
     n = len(b)
-    dn, dd = _DELTA.numerator, _DELTA.denominator
     d = [0] * (n + 1)  # d[k] = Gram determinant of the first k rows
     d[0] = 1
     lam = [[0] * n for _ in range(n)]  # lam[i][j] = d[j+1] * mu[i][j]
@@ -333,8 +199,7 @@ def lll_reduce(
             init_row(k)
         while True:
             size_reduce(k, k - 1)
-            lkk = lam[k][k - 1]
-            if dd * d[k + 1] * d[k - 1] < dn * d[k] * d[k] - dd * lkk * lkk:
+            if _lovasz_swap(d[k + 1], d[k - 1], d[k], lam[k][k - 1]):
                 # swap rows k-1, k and patch the integral GS data
                 b[k - 1], b[k] = b[k], b[k - 1]
                 for j in range(k - 1):

@@ -268,6 +268,25 @@ def test_gen_into_a_closed_pipe_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "demo", sorted((Path(__file__).parents[1] / "demos").glob("*.py")), ids=lambda p: p.name
+)
+def test_demo_into_a_closed_pipe_exits_quietly(demo):
+    # the reader is gone before the first line: unbuffered, that first print
+    # fails, and the demo exits 1 with no traceback on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(factorlab.__file__).parents[1]),
+               PYTHONUNBUFFERED="1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, str(demo)], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
 def test_bound_scan_table(capsys):
     code, out, _ = run_cli(
         capsys, "bound-scan", "--bits-min", "20", "--bits-max", "24",

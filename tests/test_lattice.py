@@ -122,21 +122,6 @@ def test_lll_dependent_rows_still_rejected(basis, coeffs):
         lll_reduce(basis + [combo])
 
 
-def test_float_pass_alone_reduces_pipeline_lattices(monkeypatch):
-    # the exact finish would repair a float pass that gives up early, so the
-    # results would stay right while the speed-up is lost: check the float
-    # pass's own output on the lattices the pipeline builds
-    captured = _lll_bases(monkeypatch)
-    for bits in (40, 56):
-        for seed in range(3):
-            N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=seed))
-            harness.run_pipeline(N, p)
-    assert len(captured) >= 6
-    for basis in captured:
-        reduced = lattice._float_pass([row[:] for row in basis])
-        assert check_reduction(basis, reduced) == []
-
-
 @pytest.mark.parametrize("dim", range(6, 13))
 @pytest.mark.parametrize("seed", range(2))
 def test_lll_knapsack_bases_pass_check_reduction(dim, seed):
@@ -476,10 +461,10 @@ def _is_triangular(basis):
     return True
 
 
-def test_lll_first_stage_follows_the_input(monkeypatch):
-    # the float pass runs on every non-triangular basis and on triangular
-    # ones whose Gram determinant reaches 2**_EXACT_ONLY_GRAM_BITS; the
-    # exact loop alone reduces the rest
+def test_lll_every_basis_reduces_in_the_exact_loop(monkeypatch):
+    # pipeline bases at 24, 40 and 56 bits, solver bases, the 25-dim basis
+    # and uniform and knapsack bases all take the one exact loop: its stop
+    # hook sees every row in order, and the result passes check_reduction
     cases = _lll_bases(monkeypatch)
     for bits in (24, 40, 56):
         N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=0))
@@ -497,27 +482,107 @@ def test_lll_first_stage_follows_the_input(monkeypatch):
                       for _ in range(dim)])
         cases.append([[int(i == j) for j in range(dim)] + [(1 << 20) * rng.getrandbits(200)]
                       for i in range(dim)])
-
-    float_calls = []
-    real_float = lattice._float_pass
-
-    def float_spy(b):
-        float_calls.append(len(b))
-        return real_float(b)
-
-    monkeypatch.setattr(lattice, "_float_pass", float_spy)
-    kinds = set()
+    assert {len(basis) for basis in cases} >= {6, 9, 10, 16, 25}
+    assert {_is_triangular(basis) for basis in cases} == {True, False}
     for basis in cases:
-        triangular = _is_triangular(basis)
-        expect = not triangular or gram_det(basis) >= 1 << lattice._EXACT_ONLY_GRAM_BITS
-        before = len(float_calls)
-        reduced = lll_reduce(basis)
-        assert (len(float_calls) > before) == expect
+        seen = []
+        reduced = lll_reduce(basis, stop=lambda b, k: seen.append(k))
+        assert seen == list(range(1, len(basis)))
         assert check_reduction(basis, reduced) == []
-        kinds.add((triangular, expect))
-    # exact alone (24, 40 bits, solver, 25-dim), float first (56 bits),
-    # and non-triangular (uniform and knapsack) all occur
-    assert kinds == {(True, False), (True, True), (False, True)}
+
+
+def _exact_swap(a, c, m, l):
+    return 4 * a * c < 3 * m * m - 4 * l * l
+
+
+def test_lovasz_swap_answers_as_the_integers_on_the_corpus_bases(monkeypatch):
+    # every swap test made while reducing the bases of pipeline-40,
+    # pipeline-56 and solver runs
+    bases = _lll_bases(monkeypatch)
+    for bits in (40, 56):
+        for seed in range(3):
+            N, p, _q = harness.gen_semiprime(harness.SemiprimeSpec(bits=bits, seed=seed))
+            harness.run_pipeline(N, p)
+    for seed in (3, 4, 5):
+        f, bounds, _B = _solver_poly(seed)
+        coppersmith_bivariate(f, bounds)
+    monkeypatch.undo()
+    tests = []
+    real = lattice._lovasz_swap
+
+    def spy(a, c, m, l):
+        tests.append((a, c, m, l))
+        return real(a, c, m, l)
+
+    monkeypatch.setattr(lattice, "_lovasz_swap", spy)
+    for basis in bases:
+        lll_reduce(basis)
+    assert len(bases) >= 9 and len(tests) > 1000
+    assert all(2 * abs(l) <= m for _a, _c, m, l in tests)
+    assert all(real(*t) == _exact_swap(*t) for t in tests)
+    # the bit lengths settle tests both ways, and some tests get past them
+    spans = [a.bit_length() + c.bit_length() - 2 * m.bit_length() for a, c, m, _l in tests]
+    assert min(spans) <= -3 and max(spans) >= 2 and any(-3 < s < 2 for s in spans)
+
+
+def _near_ties(rng, m_bits, count):
+    """Swap-test operands (a, c, m, l) with 2|l| <= m whose two sides lie
+    within 2**-s of each other, s drawn from 30..60 (so that the doubles
+    decide some and the integers the rest), about half of them exact ties."""
+    out = []
+    for i in range(count):
+        m = rng.getrandbits(m_bits) | 1 << (m_bits - 1)
+        m -= m % 2
+        l = rng.randint(-(m // 2), m // 2) if i % 3 else 0
+        target = 3 * m * m - 4 * l * l  # divisible by 4, since m is even
+        c = rng.getrandbits(rng.randint(1, max(1, 2 * m_bits - 60))) + 1
+        if i % 2:
+            c = math.gcd(c, target // 4) or 1
+            a = target // (4 * c)  # an exact tie
+        else:
+            gap = target >> rng.randint(30, 60)
+            a = (target + rng.randint(-gap, gap)) // (4 * c)
+        if rng.random() < 0.5:
+            a, c = c, a
+        if a > 0:
+            out.append((a, c, m, l))
+    return out
+
+
+def test_lovasz_swap_answers_as_the_integers_on_near_ties():
+    rng = random.Random(23)
+    cases = []
+    for m_bits in (2, 20, 53, 61, 120, 700, 1100, 1500, 3500):
+        cases += _near_ties(rng, m_bits, 200)
+    # l = 0, and operands past 2**1100 with a and c more than 2**1024 apart
+    for bits in (64, 1200, 3000):
+        for _ in range(200):
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            c = rng.getrandbits(rng.randint(1, 40)) + 1
+            a = (3 * m * m) // (4 * c) + rng.randint(-2, 2)
+            cases.append((a, c, m, 0))
+            cases.append((c, a, m, rng.randint(-(m // 2), m // 2)))
+    assert sum(max(a, c, m).bit_length() > 1100 for a, c, m, _l in cases) > 500
+    assert sum(_exact_swap(*t) for t in cases) > 100
+    assert sum(not _exact_swap(*t) for t in cases) > 100
+    for t in cases:
+        assert lattice._lovasz_swap(*t) == _exact_swap(*t), t
+
+
+def test_lll_with_the_integer_swap_test_returns_the_same_bases(monkeypatch):
+    rng = random.Random(9)
+    bases = [_solver_basis(3)]
+    f, bounds, _B = _pipeline_poly(56, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        captured = _lll_bases(mp)
+        lattice._lattice_pass(f, bounds.X, bounds.Y, 2)
+    bases += captured
+    for dim, bits in ((8, 60), (6, 700)):
+        bases.append([[int(i == j) for j in range(dim)] + [(1 << 20) * rng.getrandbits(bits)]
+                      for i in range(dim)])
+    screened = [lll_reduce(basis) for basis in bases]
+    monkeypatch.setattr(lattice, "_lovasz_swap", _exact_swap)
+    assert [lll_reduce(basis) for basis in bases] == screened
 
 
 def _solver_basis(seed):
@@ -552,25 +617,6 @@ def test_lll_stop_returns_the_lattice_with_a_reduced_prefix(at):
     assert gram_det(out) == gram_det(basis)
     prefix = out[:at]
     assert check_reduction(prefix, prefix) == []
-
-
-def test_lll_stop_runs_in_the_exact_loop_after_the_float_pass(monkeypatch):
-    rng = random.Random(5)
-    basis = [[rng.randrange(-(1 << 60), 1 << 60) for _ in range(8)] for _ in range(8)]
-    events = []
-    real_float = lattice._float_pass
-
-    def float_spy(b):
-        events.append("float")
-        return real_float(b)
-
-    def stop(b, k):
-        events.append(k)
-        return False
-
-    monkeypatch.setattr(lattice, "_float_pass", float_spy)
-    assert lll_reduce(basis, stop=stop) == lll_reduce(basis)
-    assert events[:8] == ["float", *range(1, 8)]
 
 
 def test_early_exit_keeps_roots_and_certificates(monkeypatch):
