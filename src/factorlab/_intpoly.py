@@ -3,9 +3,7 @@
 Polynomials are lists of coefficients in ascending order ([] is the zero
 polynomial).  The solver's resultants are taken against f = A*x + C, linear
 in x, so Res_x(f, h) = A**deg(h) * h(-C/A) is evaluated in closed form, by
-Horner in Z[y], with no Sylvester matrix.  bareiss_det is the fraction-free
-determinant of a matrix of polynomials, whose interior divisions are exact
-over any integral domain.
+Horner in Z[y], with no Sylvester matrix.
 """
 
 from __future__ import annotations
@@ -76,33 +74,6 @@ def peval(p: Poly, x: int) -> int:
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def bareiss_det(m: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a square matrix of integer polynomials."""
-    n = len(m)
-    if n == 0:
-        return [1]
-    a = [[list(e) for e in row] for row in m]
-    sign = 1
-    prev: Poly = [1]
-    for k in range(n - 1):
-        if not a[k][k]:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = padd(pmul(a[k][k], a[i][j]), pneg(pmul(a[i][k], a[k][j])))
-                a[i][j] = pdivexact(num, prev)
-            a[i][k] = []
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else pneg(det)
 
 
 def sylvester_resultant(fx: list[Poly], hx: list[Poly]) -> Poly:

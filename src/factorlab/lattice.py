@@ -11,7 +11,7 @@ bases the solver and the pipeline build; it pays only on inputs no workload
 runs (without one, uniform random bases and knapsack bases with 600-bit
 entries reduce 1.2-1.3x slower, and those with 40-400-bit entries 1.05-1.9x
 faster).  check_reduction re-derives every claimed property of a reduced
-basis from scratch with rational arithmetic.
+basis from scratch, from a fraction-free Gram-Schmidt of its own.
 
 coppersmith_bivariate finds integer roots (x, y) of a bilinear f with |x| <=
 X, |y| <= Y by lattice reduction: the lattice of the shift polynomials x^i
@@ -36,7 +36,7 @@ degree-1 pass (9 dims) goes first, then the degree-2 pass (16 dims), then
 the split; below it a box that can split sends its quadrants first, and its
 own pass runs only if they do not all certify.
 The solver has one configuration, the one every constant here was measured
-at: Lovasz delta _DELTA = 3/4 and shift degree _SHIFT_DEGREE = 2.
+at: Lovasz delta 3/4 and shift degree _SHIFT_DEGREE = 2.
 Soundness is unconditional (every returned pair is verified by exact
 evaluation); a certified result's root list is complete for the box.
 """
@@ -44,11 +44,10 @@ evaluation); a certified result's root list is complete for the box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, ldexp
+from math import gcd, isqrt, ldexp
 from typing import Callable
 
-from ._intpoly import Poly, bareiss_det, integer_roots, ptrim, sylvester_resultant
+from ._intpoly import Poly, integer_roots, ptrim, sylvester_resultant
 from .polybuild import BilinearPoly, RootBounds, bound_margin, is_reducible, poly_height
 
 IntegerMatrix = list[list[int]]
@@ -74,10 +73,8 @@ class LatticeFailure(RuntimeError):
         self.margin_bits = margin_bits
 
 
-# The Lovasz constant of every reduction (_lovasz_swap has its 3 and 4
-# written in), and the shift degree m of the solver's main pass (a
-# high-margin box tries m = 1 first)
-_DELTA = Fraction(3, 4)
+# The shift degree m of the solver's main pass (a high-margin box tries
+# m = 1 first).  Every reduction's Lovasz delta, 3/4, is written in as 3, 4.
 _SHIFT_DEGREE = 2
 
 
@@ -147,7 +144,7 @@ def lll_reduce(
     Gram determinants d_k and scaled Gram-Schmidt coefficients lam stay
     integral throughout, so the returned basis spans the same lattice
     (unimodular row transform), is size-reduced (|mu_ij| <= 1/2) and
-    satisfies the Lovasz condition with delta = _DELTA, exactly.  The swap
+    satisfies the Lovasz condition with delta = 3/4, exactly.  The swap
     test is _lovasz_swap, which answers as the integer comparison does but
     mostly from bit lengths and doubles.  Raises DependentRows if the rows
     are not independent.
@@ -260,114 +257,102 @@ def integer_row_basis(rows: IntegerMatrix) -> IntegerMatrix:
     return mat[:r]
 
 
-def _det(m: IntegerMatrix) -> int:
-    """Integer determinant via the polynomial Bareiss on constant entries."""
-    det = bareiss_det([[[v] if v else [] for v in row] for row in m])
-    return det[0] if det else 0
+def _gs_extend(
+    rows: IntegerMatrix, d: list[int], lam: IntegerMatrix, v: list[int]
+) -> list[int]:
+    """Fraction-free Gram-Schmidt data of independent rows (d[i] the Gram
+    determinant of rows[:i], lam[i][j] = d[j+1] mu[i][j]) extended by v: v's
+    lam row, then the Gram determinant of rows + [v] (0 exactly when v is in
+    their span), with every division exact (Cohen, Alg. 2.6.7).  Kept apart
+    from lll_reduce's init_row, so a fault in one cannot hide in the other."""
+    out: list[int] = []
+    for j, w in enumerate(rows + [v]):
+        lw = lam[j] if j < len(rows) else out
+        u = sum(x * y for x, y in zip(v, w))
+        for i in range(j):
+            u = (d[i + 1] * u - out[i] * lw[i]) // d[i]
+        out.append(u)
+    return out
+
+
+def _gram_schmidt(rows: IntegerMatrix) -> tuple[list[int], IntegerMatrix]:
+    """d and lam of rows up to the first dependent one; d[-1] is the Gram
+    determinant either way."""
+    d, lam = [1], []
+    for k, v in enumerate(rows):
+        *lv, dv = _gs_extend(rows[:k], d, lam, v)
+        d.append(dv)
+        if dv == 0:
+            break
+        lam.append(lv)
+    return d, lam
 
 
 def gram_det(rows: IntegerMatrix) -> int:
     """Determinant of the Gram matrix B*B^T (squared lattice covolume)."""
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
-    return _det(gram)
-
-
-def _fraction_gs(
-    rows: IntegerMatrix,
-) -> tuple[list[list[Fraction]], list[list[Fraction]], list[Fraction]]:
-    n = len(rows)
-    bstar: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    norms: list[Fraction] = []
-    for i in range(n):
-        v = [Fraction(x) for x in rows[i]]
-        for j in range(i):
-            if norms[j] == 0:
-                raise DependentRows("rows are linearly dependent")
-            mu_ij = sum(Fraction(a) * c for a, c in zip(rows[i], bstar[j])) / norms[j]
-            mu[i][j] = mu_ij
-            v = [a - mu_ij * c for a, c in zip(v, bstar[j])]
-        bstar.append(v)
-        norms.append(sum(x * x for x in v))
-    return bstar, mu, norms
-
-
-def _solve_rational(
-    a: list[list[Fraction]], rhs: list[list[Fraction]]
-) -> list[list[Fraction]]:
-    """Solutions x of a x = r for every right-hand side r in rhs, by one
-    Gauss-Jordan elimination of a augmented with all of them."""
-    n = len(a)
-    m = [row[:] + [r[i] for r in rhs] for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise DependentRows("singular system")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return [[m[i][n + k] for i in range(n)] for k in range(len(rhs))]
+    _validate_matrix(rows)
+    return _gram_schmidt(rows)[0][-1]
 
 
 def check_reduction(original: IntegerMatrix, reduced: IntegerMatrix) -> list[str]:
     """Re-derive every property a reduced basis must satisfy; return the list
     of violations (empty list means the output certifies).
 
-    Checks: same lattice via an integer transform of determinant +-1, Gram
-    determinant preservation, exact size reduction, exact Lovasz condition
-    at delta = _DELTA = 3/4, and the first-vector bound ||b1|| <=
-    alpha^((n-1)/4) * det^(1/n) with alpha = 4/(4*delta - 1) = 2, compared
-    in integers after raising to the 4n-th power.
+    All in integers, from a fraction-free Gram-Schmidt of each basis: Gram
+    determinant preservation; the same lattice (each reduced row has zero
+    residual against the input rows and integer coordinates in them, and the
+    Gram determinants agree); exact size reduction and Lovasz condition at
+    delta = 3/4; and the first-vector bound ||b1|| <= alpha^((n-1)/4)
+    det^(1/n), alpha = 4/(4 delta - 1) = 2, raised to the 4n-th power.
+    Raises ValueError for an empty or ragged basis.
     """
-    problems: list[str] = []
+    width = _validate_matrix(original)
     if len(original) != len(reduced):
         return ["row count changed"]
+    if _validate_matrix(reduced) != width:
+        return ["row width changed"]
+    problems: list[str] = []
     n = len(original)
-    g_in = gram_det(original)
-    g_out = gram_det(reduced)
+    d_in, lam_in = _gram_schmidt(original)
+    d, lam = _gram_schmidt(reduced)
+    g_in, g_out = d_in[-1], d[-1]
     if g_in != g_out:
         problems.append(f"Gram determinant changed: {g_in} -> {g_out}")
-    # transform: U with U * original = reduced, entries integral, det = +-1
-    gram = [
-        [Fraction(sum(x * y for x, y in zip(u, v))) for v in original]
-        for u in original
-    ]
-    rhs = [
-        [Fraction(sum(x * y for x, y in zip(row, v))) for v in original]
-        for row in reduced
-    ]
-    try:
-        transform = _solve_rational(gram, rhs)
-    except DependentRows:
+    if g_in == 0:
         problems.append("original rows are dependent; transform undefined")
-        transform = []
-    if transform:
-        if any(c.denominator != 1 for trow in transform for c in trow):
+    else:
+        # r = sum_i c_i original[i] has residual 0 and lam_r[j] = d[j+1] c_j +
+        # sum_{i>j} c_i lam[i][j], so integral c_j divide out top-down
+        integral = True
+        for r in reduced:
+            *lv, dv = _gs_extend(original, d_in, lam_in, r)
+            c = [0] * n
+            for j in range(n - 1, -1, -1):
+                num = lv[j] - sum(c[i] * lam_in[i][j] for i in range(j + 1, n))
+                c[j], rem = divmod(num, d_in[j + 1])
+                integral = integral and dv == 0 and rem == 0
+        if not integral:
             problems.append("reduced rows are not integer combinations of input")
-        else:
-            u_int = [[int(c) for c in trow] for trow in transform]
-            det_u = _det(u_int)
-            if det_u not in (1, -1):
-                problems.append(f"transform determinant is {det_u}, not +-1")
-    try:
-        _, mu, norms = _fraction_gs(reduced)
-    except DependentRows:
+        elif g_out != g_in:
+            # reduced = U original with U integral, so its Gram matrix is U G_in
+            # U^T and g_out = det(U)^2 g_in: equal determinants (g_in > 0) force
+            # det U = +-1, so U^-1 is integral and the lattices agree; unequal
+            # ones leave a sublattice of index |det U| = isqrt(g_out / g_in).
+            k = isqrt(g_out // g_in)
+            problems.append(f"transform determinant is +-{k}, not +-1")
+    if g_out == 0:
         problems.append("reduced rows are dependent")
         return problems
     for i in range(n):
         for j in range(i):
-            if abs(mu[i][j]) > Fraction(1, 2):
+            if 2 * abs(lam[i][j]) > d[j + 1]:
                 problems.append(f"size reduction violated at mu[{i}][{j}]")
     for k in range(1, n):
-        if norms[k] < (_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+        # |b*_k|^2 < (3/4 - mu^2) |b*_{k-1}|^2, times 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             problems.append(f"Lovasz condition violated at row {k}")
-    b1_sq = sum(x * x for x in reduced[0])
-    # ||b1||^(4n) <= alpha^(n(n-1)) det^4, with alpha = 2 and det^4 = g_out^2
-    if g_out > 0 and b1_sq ** (2 * n) > 2 ** (n * (n - 1)) * g_out**2:
+    # ||b1||^(4n) <= alpha^(n(n-1)) det^4, with ||b1||^2 = d[1], det^2 = g_out
+    if d[1] ** (2 * n) > 2 ** (n * (n - 1)) * g_out**2:
         problems.append("first vector exceeds the alpha^((n-1)/4) det^(1/n) bound")
     return problems
 

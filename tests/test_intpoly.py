@@ -6,16 +6,47 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from factorlab._intpoly import (
-    bareiss_det,
+    Poly,
     integer_roots,
     padd,
     pdivexact,
     peval,
     pmul,
+    pneg,
     ptrim,
     sylvester_resultant,
 )
+from factorlab.lattice import gram_det
 from factorlab.ntheory import sieve_primes
+
+
+def bareiss_det(m: list[list[Poly]]) -> Poly:
+    """Fraction-free determinant of a square matrix of integer polynomials,
+    whose interior divisions are exact over any integral domain: the
+    reference for the closed-form resultant and for lattice.gram_det."""
+    n = len(m)
+    if n == 0:
+        return [1]
+    a = [[list(e) for e in row] for row in m]
+    sign = 1
+    prev: Poly = [1]
+    for k in range(n - 1):
+        if not a[k][k]:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = padd(pmul(a[k][k], a[i][j]), pneg(pmul(a[i][k], a[k][j])))
+                a[i][j] = pdivexact(num, prev)
+            a[i][k] = []
+        prev = a[k][k]
+    det = a[n - 1][n - 1]
+    return det if sign == 1 else pneg(det)
 
 
 def test_poly_arithmetic_basics():
@@ -50,6 +81,30 @@ def test_bareiss_det_matches_cofactor_expansion():
             for _ in range(n)
         ]
         assert bareiss_det(m) == naive_det(m)
+
+
+def test_gram_det_matches_bareiss_on_the_gram_matrix():
+    # square, rectangular and dependent bases (fewer columns than rows, or a
+    # last row that combines the others): the checker's fraction-free
+    # Gram-Schmidt against Bareiss on B B^T, every integer a constant
+    # polynomial
+    rng = random.Random(25)
+    for trial in range(120):
+        n = rng.randrange(1, 7)
+        width = max(1, n + rng.randrange(-1, 3))
+        bits = rng.choice((2, 8, 60, 200))
+        rows = [
+            [rng.randrange(-(1 << bits), 1 << bits) for _ in range(width)]
+            for _ in range(n)
+        ]
+        if trial % 4 == 3 and n >= 2:
+            c = [rng.randrange(-3, 4) for _ in range(n - 1)]
+            rows[-1] = [
+                sum(ci * row[t] for ci, row in zip(c, rows)) for t in range(width)
+            ]
+        gram = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
+        det = bareiss_det([[[g] if g else [] for g in row] for row in gram])
+        assert gram_det(rows) == (det[0] if det else 0)
 
 
 def test_resultant_shares_factor_iff_zero():

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -139,12 +140,247 @@ def test_lll_knapsack_bases_pass_check_reduction(dim, seed):
 
 
 def test_check_reduction_flags_bad_output():
-    # wrong lattice entirely: identity is not inside 2Z x 3Z
-    assert check_reduction([[2, 0], [0, 3]], [[1, 0], [0, 1]]) != []
-    # same lattice (det 1) but the rows are far from size-reduced
-    assert check_reduction([[7, 3], [2, 1]], [[7, 3], [9, 4]]) != []
-    # sublattice of index 2: transform determinant is not +-1
-    assert check_reduction([[1, 0], [0, 1]], [[2, 0], [0, 1]]) != []
+    # one case for each problem the checker can report
+    cases = [
+        ([[1, 0], [0, 1]], [[1, 0]], ["row count changed"]),
+        # was certified: zip truncated the input to the reduced width
+        ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1]], ["row width changed"]),
+        (
+            [[1, 2], [2, 4]],
+            [[1, 2], [2, 4]],
+            [
+                "original rows are dependent; transform undefined",
+                "reduced rows are dependent",
+            ],
+        ),
+        (
+            [[1, 0], [0, 1]],
+            [[1, 0], [1, 0]],
+            [
+                "Gram determinant changed: 1 -> 0",
+                "transform determinant is +-0, not +-1",
+                "reduced rows are dependent",
+            ],
+        ),
+        # wrong lattice entirely: identity is not inside 2Z x 3Z
+        (
+            [[2, 0], [0, 3]],
+            [[1, 0], [0, 1]],
+            [
+                "Gram determinant changed: 36 -> 1",
+                "reduced rows are not integer combinations of input",
+            ],
+        ),
+        # a row outside the input's span, although its projection onto it has
+        # integer coordinates
+        (
+            [[1, 0, 0], [0, 1, 0]],
+            [[1, 0, 1], [0, 1, 0]],
+            [
+                "Gram determinant changed: 1 -> 2",
+                "reduced rows are not integer combinations of input",
+                "Lovasz condition violated at row 1",
+            ],
+        ),
+        # sublattice of index 2: transform determinant is not +-1
+        (
+            [[1, 0], [0, 1]],
+            [[2, 0], [0, 1]],
+            [
+                "Gram determinant changed: 1 -> 4",
+                "transform determinant is +-2, not +-1",
+                "Lovasz condition violated at row 1",
+                "first vector exceeds the alpha^((n-1)/4) det^(1/n) bound",
+            ],
+        ),
+        # same lattice (det 1) but the rows are far from size-reduced
+        (
+            [[7, 3], [2, 1]],
+            [[7, 3], [9, 4]],
+            [
+                "size reduction violated at mu[1][0]",
+                "first vector exceeds the alpha^((n-1)/4) det^(1/n) bound",
+            ],
+        ),
+        # |b2*|^2 = 2 < 3/4 |b1|^2 = 3, while |b1|^8 = 256 = 2^2 det^4
+        (
+            [[2, 0, 0], [0, 1, 1]],
+            [[2, 0, 0], [0, 1, 1]],
+            ["Lovasz condition violated at row 1"],
+        ),
+    ]
+    for original, reduced, problems in cases:
+        assert check_reduction(original, reduced) == problems
+
+
+def test_checker_rejects_malformed_bases():
+    with pytest.raises(ValueError):
+        check_reduction([], [])  # was an IndexError
+    with pytest.raises(ValueError):
+        check_reduction([[1, 0], [0, 1]], [[1, 0], [1]])
+    with pytest.raises(ValueError):
+        gram_det([[1, 2], [3]])  # was 36
+
+
+def _fraction_gs(rows):
+    """Gram-Schmidt in Fractions: (b*, mu, |b*|^2); DependentRows if a
+    later row meets a zero b*."""
+    n = len(rows)
+    bstar = []
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    norms = []
+    for i in range(n):
+        v = [Fraction(x) for x in rows[i]]
+        for j in range(i):
+            if norms[j] == 0:
+                raise DependentRows("rows are linearly dependent")
+            mu_ij = sum(Fraction(a) * c for a, c in zip(rows[i], bstar[j])) / norms[j]
+            mu[i][j] = mu_ij
+            v = [a - mu_ij * c for a, c in zip(v, bstar[j])]
+        bstar.append(v)
+        norms.append(sum(x * x for x in v))
+    return bstar, mu, norms
+
+
+def _solve_rational(a, rhs):
+    """Solutions x of a x = r for every right-hand side r in rhs, by one
+    Gauss-Jordan elimination of a augmented with all of them."""
+    n = len(a)
+    m = [row[:] + [r[i] for r in rhs] for i, row in enumerate(a)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            raise DependentRows("singular system")
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    return [[m[i][n + k] for i in range(n)] for k in range(len(rhs))]
+
+
+def _fraction_det(m):
+    """Determinant by Gaussian elimination in Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for c in range(len(a)):
+        piv = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, len(a)):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def _fraction_gram(us, vs):
+    return [[Fraction(sum(x * y for x, y in zip(u, v))) for v in vs] for u in us]
+
+
+def _fraction_check(original, reduced):
+    """The rational checker: the transform solved from the Gram system by
+    Gauss-Jordan, Gram-Schmidt and every test in Fractions."""
+    n = len(original)
+    gram_in = _fraction_gram(original, original)
+    g_in = _fraction_det(gram_in)
+    g_out = _fraction_det(_fraction_gram(reduced, reduced))
+    problems = []
+    if g_in != g_out:
+        problems.append("Gram determinant changed")
+    try:
+        transform = _solve_rational(gram_in, _fraction_gram(reduced, original))
+    except DependentRows:
+        problems.append("original rows are dependent")
+        transform = []
+    if transform:
+        if any(c.denominator != 1 for trow in transform for c in trow):
+            problems.append("not integer combinations")
+        elif _fraction_det(transform) not in (1, -1):
+            problems.append("transform determinant")
+    try:
+        _, mu, norms = _fraction_gs(reduced)
+    except DependentRows:
+        return problems + ["reduced rows are dependent"]
+    for i in range(n):
+        for j in range(i):
+            if abs(mu[i][j]) > Fraction(1, 2):
+                problems.append(f"size reduction violated at mu[{i}][{j}]")
+    for k in range(1, n):
+        if norms[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]:
+            problems.append(f"Lovasz condition violated at row {k}")
+    b1_sq = sum(x * x for x in reduced[0])
+    if g_out > 0 and b1_sq ** (2 * n) > 2 ** (n * (n - 1)) * g_out**2:
+        problems.append("first vector exceeds the alpha^((n-1)/4) det^(1/n) bound")
+    return problems
+
+
+def _corruptions(basis, reduced, rng):
+    """The output itself, the input, and copies of the output with one
+    fault each."""
+    n, width = len(reduced), len(reduced[0])
+    i, j = rng.sample(range(n), 2)
+    out = [reduced, basis]
+    for edit in range(6):
+        b = [row[:] for row in reduced]
+        if edit == 0:
+            b[i], b[j] = b[j], b[i]
+        elif edit == 1:
+            b[i] = [x + 3 * y for x, y in zip(b[i], b[j])]
+        elif edit == 2:
+            b[i] = b[j][:]
+        elif edit == 3:
+            b[i] = [2 * x for x in b[i]]
+        elif edit == 4:
+            b[i] = [-x for x in b[i]]
+        else:
+            step = rng.choice((1, 2 ** rng.randrange(1, 40)))
+            b[i][rng.randrange(width)] += rng.choice((step, -step))
+        out.append(b)
+    return out
+
+
+def test_check_reduction_agrees_with_the_fraction_checker():
+    # LLL outputs of uniform and knapsack bases, and corruptions of each:
+    # the integer checker flags a basis exactly when the rational one does,
+    # with the same size-reduction, Lovasz and bound findings
+    rng = random.Random(2025)
+    cases = flagged = 0
+    for trial in range(80):
+        n = rng.randrange(2, 9)
+        bits = rng.randrange(3, 201)
+        if trial % 2 == 0:
+            width = n + rng.randrange(3)
+            basis = [
+                [rng.randrange(-(1 << bits), 1 << bits) for _ in range(width)]
+                for _ in range(n)
+            ]
+        else:
+            extra = rng.randrange(1, 3)
+            basis = [
+                [int(i == j) for j in range(n)]
+                + [rng.getrandbits(bits) for _ in range(extra)]
+                for i in range(n)
+            ]
+        reduced = lll_reduce(basis)
+        for candidate in _corruptions(basis, reduced, rng):
+            ours = check_reduction(basis, candidate)
+            theirs = _fraction_check(basis, candidate)
+            assert bool(ours) == bool(theirs), (basis, candidate, ours, theirs)
+            # the rational Gram-Schmidt goes on past a dependent last row
+            if "reduced rows are dependent" not in ours:
+                own = ("size", "Lovasz", "first")
+                assert [p for p in ours if p.startswith(own)] == [
+                    p for p in theirs if p.startswith(own)
+                ]
+            cases += 1
+            flagged += bool(ours)
+    assert 0 < flagged < cases
 
 
 def _echelon_member(basis, row):
